@@ -6,9 +6,12 @@ use std::hint::black_box;
 
 use cor_ipc::protocol;
 use cor_ipc::{Message, MsgItem, MsgKind, NodeId, PortId, PortRegistry};
+use cor_kernel::{CostModel, World};
 use cor_mem::page::{page_from_bytes, Frame};
 use cor_mem::resident::ResidentTracker;
+use cor_mem::SegmentId;
 use cor_mem::{AddressSpace, Disk, PageNum, VAddr, PAGE_SIZE};
+use cor_net::{Topology, WireParams};
 use cor_sim::{EventQueue, Pcg32, SimTime};
 
 fn bench_rng(c: &mut Criterion) {
@@ -137,6 +140,20 @@ fn bench_ipc(c: &mut Criterion) {
             black_box(ports.dequeue(p).unwrap().is_some())
         });
     });
+    c.bench_function("settle_64_node_torus", |b| {
+        let (mut w, faulter, pager, seg) = torus_fault_world();
+        let backing = w.segs.backing_port(seg).unwrap();
+        let mut offset = 0;
+        b.iter(|| {
+            offset = (offset + 1) % 64;
+            let req = protocol::imag_read_request(backing, pager, seg, offset, 1)
+                .with_seq(offset + 1)
+                .with_no_ious(true);
+            w.send_from(faulter, req).unwrap();
+            w.settle().unwrap();
+            black_box(w.ports.dequeue(pager).unwrap().is_some())
+        });
+    });
     c.bench_function("protocol_roundtrip", |b| {
         b.iter(|| {
             let m = protocol::imag_read_request(PortId(1), PortId(2), cor_mem::SegmentId(7), 99, 4);
@@ -151,6 +168,24 @@ fn bench_ipc(c: &mut Criterion) {
         });
         b.iter(|| black_box(msg.wire_size()));
     });
+}
+
+/// A 64-node torus world whose node 0 has a pager port and owes pages of
+/// a segment cached at node 27's NetMsgServer (four hops away): the
+/// dispatch layer of one remote imaginary fault, without a whole storm.
+fn torus_fault_world() -> (World, NodeId, PortId, SegmentId) {
+    let wire = WireParams {
+        topology: Some(Topology::torus(8, 8)),
+        ..WireParams::default()
+    };
+    let (mut w, nodes) = World::fleet(64, CostModel::default(), wire);
+    let (faulter, home) = (nodes[0], nodes[27]);
+    let nms = w.fabric.nms_port(home).unwrap();
+    let seg = w.segs.create(nms, 64);
+    let frames = (0..64).map(|_| Frame::zeroed()).collect();
+    w.fabric.install_cache(home, seg, frames).unwrap();
+    let pager = w.ports.allocate(faulter);
+    (w, faulter, pager, seg)
 }
 
 /// Pool scaling on a real matrix cell: one Minprog IOU trial per worker,

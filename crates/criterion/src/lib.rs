@@ -14,14 +14,9 @@ use std::time::Instant;
 const ITERS: u32 = 3;
 
 /// The benchmark harness handle passed to `criterion_group!` functions.
+#[derive(Default)]
 pub struct Criterion {
     _priv: (),
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion { _priv: () }
-    }
 }
 
 impl Criterion {

@@ -7,7 +7,7 @@
 //! outstanding send right valid — the location transparency that RIG and
 //! DCN lacked and that Accent migration depends on (paper §5).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::message::Message;
@@ -83,6 +83,13 @@ impl std::error::Error for PortError {}
 /// *name service* while `cor-net` still models the cross-machine data path
 /// (forwarding, fragmentation, wire costs) explicitly.
 ///
+/// Port ids are handed out densely, in sequence, and never reused, so the
+/// registry is a slab indexed by [`PortId`]: every lookup on the message
+/// path is one bounds check and one array read. A deallocated port keeps
+/// its slot (marked dead), and any id past the end — never allocated —
+/// reads as dead too. [`PortRegistry::purge_node`] and
+/// [`PortRegistry::live_ports`] walk the whole slab.
+///
 /// # Examples
 ///
 /// ```
@@ -97,8 +104,8 @@ impl std::error::Error for PortError {}
 /// ```
 #[derive(Debug, Default)]
 pub struct PortRegistry {
-    ports: HashMap<PortId, PortEntry>,
-    next: u64,
+    /// Slot `i` holds `PortId(i)`; the next id allocated is `ports.len()`.
+    ports: Vec<PortEntry>,
 }
 
 impl PortRegistry {
@@ -107,18 +114,31 @@ impl PortRegistry {
         PortRegistry::default()
     }
 
+    /// The live entry for `port`, if any.
+    fn live(&self, port: PortId) -> Option<&PortEntry> {
+        usize::try_from(port.0)
+            .ok()
+            .and_then(|i| self.ports.get(i))
+            .filter(|e| e.alive)
+    }
+
+    /// The live entry for `port`, mutably.
+    fn live_mut(&mut self, port: PortId) -> Result<&mut PortEntry, PortError> {
+        usize::try_from(port.0)
+            .ok()
+            .and_then(|i| self.ports.get_mut(i))
+            .filter(|e| e.alive)
+            .ok_or(PortError::Dead(port))
+    }
+
     /// Allocates a fresh port whose receive right lives on `home`.
     pub fn allocate(&mut self, home: NodeId) -> PortId {
-        let id = PortId(self.next);
-        self.next += 1;
-        self.ports.insert(
-            id,
-            PortEntry {
-                home,
-                queue: VecDeque::new(),
-                alive: true,
-            },
-        );
+        let id = PortId(self.ports.len() as u64);
+        self.ports.push(PortEntry {
+            home,
+            queue: VecDeque::new(),
+            alive: true,
+        });
         id
     }
 
@@ -128,10 +148,7 @@ impl PortRegistry {
     ///
     /// [`PortError::Dead`] for unknown or deallocated ports.
     pub fn home(&self, port: PortId) -> Result<NodeId, PortError> {
-        match self.ports.get(&port) {
-            Some(e) if e.alive => Ok(e.home),
-            _ => Err(PortError::Dead(port)),
-        }
+        self.live(port).map(|e| e.home).ok_or(PortError::Dead(port))
     }
 
     /// Relocates the receive right (migration does this for every port a
@@ -142,13 +159,8 @@ impl PortRegistry {
     ///
     /// [`PortError::Dead`] for unknown or deallocated ports.
     pub fn relocate(&mut self, port: PortId, new_home: NodeId) -> Result<(), PortError> {
-        match self.ports.get_mut(&port) {
-            Some(e) if e.alive => {
-                e.home = new_home;
-                Ok(())
-            }
-            _ => Err(PortError::Dead(port)),
-        }
+        self.live_mut(port)?.home = new_home;
+        Ok(())
     }
 
     /// Enqueues a message on `port`.
@@ -157,13 +169,8 @@ impl PortRegistry {
     ///
     /// [`PortError::Dead`] for unknown or deallocated ports.
     pub fn enqueue(&mut self, port: PortId, msg: Message) -> Result<(), PortError> {
-        match self.ports.get_mut(&port) {
-            Some(e) if e.alive => {
-                e.queue.push_back(msg);
-                Ok(())
-            }
-            _ => Err(PortError::Dead(port)),
-        }
+        self.live_mut(port)?.queue.push_back(msg);
+        Ok(())
     }
 
     /// Dequeues the oldest message, or `Ok(None)` when the queue is empty.
@@ -172,24 +179,18 @@ impl PortRegistry {
     ///
     /// [`PortError::Dead`] for unknown or deallocated ports.
     pub fn dequeue(&mut self, port: PortId) -> Result<Option<Message>, PortError> {
-        match self.ports.get_mut(&port) {
-            Some(e) if e.alive => Ok(e.queue.pop_front()),
-            _ => Err(PortError::Dead(port)),
-        }
+        Ok(self.live_mut(port)?.queue.pop_front())
     }
 
     /// Number of queued messages (zero for dead ports).
     pub fn queue_len(&self, port: PortId) -> usize {
-        self.ports
-            .get(&port)
-            .filter(|e| e.alive)
-            .map_or(0, |e| e.queue.len())
+        self.live(port).map_or(0, |e| e.queue.len())
     }
 
     /// Destroys a port. Queued messages are dropped; subsequent operations
     /// return [`PortError::Dead`].
     pub fn deallocate(&mut self, port: PortId) {
-        if let Some(e) = self.ports.get_mut(&port) {
+        if let Ok(e) = self.live_mut(port) {
             e.alive = false;
             e.queue.clear();
         }
@@ -202,7 +203,7 @@ impl PortRegistry {
     /// Returns the number of messages dropped.
     pub fn purge_node(&mut self, node: NodeId) -> usize {
         let mut dropped = 0;
-        for e in self.ports.values_mut() {
+        for e in &mut self.ports {
             if e.alive && e.home == node {
                 dropped += e.queue.len();
                 e.queue.clear();
@@ -213,12 +214,12 @@ impl PortRegistry {
 
     /// Whether the port is alive.
     pub fn is_alive(&self, port: PortId) -> bool {
-        self.ports.get(&port).is_some_and(|e| e.alive)
+        self.live(port).is_some()
     }
 
     /// Number of live ports.
     pub fn live_ports(&self) -> usize {
-        self.ports.values().filter(|e| e.alive).count()
+        self.ports.iter().filter(|e| e.alive).count()
     }
 }
 
@@ -280,8 +281,15 @@ mod tests {
 
     #[test]
     fn unknown_port_is_dead() {
-        let r = PortRegistry::new();
+        let mut r = PortRegistry::new();
         assert_eq!(r.home(PortId(42)), Err(PortError::Dead(PortId(42))));
+        r.allocate(NodeId(0));
+        let far = PortId(u64::MAX);
+        assert_eq!(r.home(far), Err(PortError::Dead(far)));
+        assert_eq!(r.queue_len(far), 0);
+        assert!(matches!(r.dequeue(far), Err(PortError::Dead(_))));
+        r.deallocate(far);
+        assert_eq!(r.live_ports(), 1);
     }
 
     #[test]

@@ -1,15 +1,135 @@
 //! Property tests for the IPC substrate.
 
+use std::collections::{HashMap, VecDeque};
+
 use proptest::prelude::*;
 
 use cor_ipc::message::{Message, MsgItem, MsgKind};
-use cor_ipc::port::{NodeId, PortId, PortRegistry};
+use cor_ipc::port::{NodeId, PortError, PortId, PortRegistry};
 use cor_ipc::protocol::{self, ProtocolMsg};
 use cor_ipc::segment::SegmentRegistry;
 use cor_mem::page::Frame;
 use cor_mem::space::SegmentId;
 
+/// Reference model for [`PortRegistry`]: a hash map from every id ever
+/// allocated to its home, liveness and queued message tags.
+#[derive(Default)]
+struct PortModel {
+    ports: HashMap<PortId, (NodeId, bool, VecDeque<u32>)>,
+    next: u64,
+}
+
+impl PortModel {
+    fn live(&mut self, p: PortId) -> Result<&mut (NodeId, bool, VecDeque<u32>), PortError> {
+        match self.ports.get_mut(&p) {
+            Some(e) if e.1 => Ok(e),
+            _ => Err(PortError::Dead(p)),
+        }
+    }
+
+    fn home(&mut self, p: PortId) -> Result<NodeId, PortError> {
+        self.live(p).map(|e| e.0)
+    }
+
+    fn queue_len(&mut self, p: PortId) -> usize {
+        self.live(p).map_or(0, |e| e.2.len())
+    }
+
+    fn live_ports(&self) -> usize {
+        self.ports.values().filter(|e| e.1).count()
+    }
+}
+
+/// Picks a port id for an op: mostly allocated ones, sometimes ids that
+/// were never allocated (the next id, one far past it, and the largest).
+fn pick_port(sel: u64, allocated: u64) -> PortId {
+    match sel % (allocated + 3) {
+        i if i < allocated => PortId(i),
+        i if i == allocated => PortId(allocated),
+        i if i == allocated + 1 => PortId(allocated + 1000),
+        _ => PortId(u64::MAX),
+    }
+}
+
 proptest! {
+    /// The port slab agrees with a hash-map model on every observable
+    /// (home, queue length, liveness, live count, FIFO order) across
+    /// random allocate/enqueue/dequeue/relocate/deallocate/purge_node
+    /// sequences, and ids that were never allocated read as dead.
+    #[test]
+    fn port_slab_matches_hash_map_model(
+        ops in prop::collection::vec((0u8..6, any::<u64>(), 0u32..3), 1..300)
+    ) {
+        let mut reg = PortRegistry::new();
+        let mut model = PortModel::default();
+        let mut tag = 0u32;
+        for &(op, sel, node) in &ops {
+            let node = NodeId(node);
+            let p = pick_port(sel, model.next);
+            match op {
+                0 => {
+                    let id = reg.allocate(node);
+                    prop_assert_eq!(id, PortId(model.next));
+                    model.ports.insert(id, (node, true, VecDeque::new()));
+                    model.next += 1;
+                }
+                1 => {
+                    let got = reg.enqueue(p, Message::new(MsgKind::User(tag), p));
+                    let want = model.live(p).map(|e| e.2.push_back(tag));
+                    prop_assert_eq!(got, want);
+                    tag += 1;
+                }
+                2 => {
+                    let got = reg.dequeue(p).map(|m| m.map(|m| m.kind));
+                    let want = model.live(p).map(|e| e.2.pop_front().map(MsgKind::User));
+                    prop_assert_eq!(got, want);
+                }
+                3 => {
+                    let got = reg.relocate(p, node);
+                    let want = model.live(p).map(|e| e.0 = node);
+                    prop_assert_eq!(got, want);
+                }
+                4 => {
+                    reg.deallocate(p);
+                    if let Ok(e) = model.live(p) {
+                        e.1 = false;
+                        e.2.clear();
+                    }
+                }
+                _ => {
+                    let mut want = 0;
+                    for e in model.ports.values_mut().filter(|e| e.1 && e.0 == node) {
+                        want += e.2.len();
+                        e.2.clear();
+                    }
+                    prop_assert_eq!(reg.purge_node(node), want);
+                }
+            }
+            prop_assert_eq!(reg.home(p), model.home(p));
+            prop_assert_eq!(reg.queue_len(p), model.queue_len(p));
+            prop_assert_eq!(reg.is_alive(p), model.home(p).is_ok());
+            prop_assert_eq!(reg.live_ports(), model.live_ports());
+        }
+        // Every id, allocated or not, ends in the model's state, and each
+        // live queue drains in FIFO order.
+        for i in 0..model.next + 2 {
+            let p = PortId(i);
+            prop_assert_eq!(reg.home(p), model.home(p));
+            let want: Vec<MsgKind> = match model.live(p) {
+                Ok(e) => e.2.drain(..).map(MsgKind::User).collect(),
+                Err(_) => Vec::new(),
+            };
+            let mut got = Vec::new();
+            while let Ok(Some(m)) = reg.dequeue(p) {
+                got.push(m.kind);
+            }
+            prop_assert_eq!(got, want);
+        }
+        let far = PortId(u64::MAX);
+        prop_assert_eq!(reg.home(far), Err(PortError::Dead(far)));
+        prop_assert_eq!(reg.queue_len(far), 0);
+    }
+
     /// Protocol encode/parse is the identity for arbitrary field values.
     #[test]
     fn protocol_request_roundtrips(seg in any::<u64>(), offset in any::<u64>(), count in 1u64..1000) {

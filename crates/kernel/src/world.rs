@@ -441,9 +441,21 @@ impl World {
     /// services every registered user-level backer until no queued work
     /// remains. Returns the number of messages processed.
     ///
+    /// Order contract: each pass runs one [`Fabric::pump`] (NMS ports in
+    /// ascending-node rounds until they are all empty) and then one
+    /// backer pass, which visits the backer ports in ascending port order
+    /// and drains each before moving on. Passes repeat until one serves
+    /// nothing.
+    ///
+    /// Cost model: a quiet pass is a few array reads per node and per
+    /// backer (queue lengths in the port slab, no hashing, no copying);
+    /// the rest is proportional to the messages actually served.
+    ///
     /// # Errors
     ///
-    /// Network failures or unexpected messages on backing ports.
+    /// Network failures, unexpected messages on backing ports, and
+    /// [`cor_ipc::port::PortError::Dead`] for a registered backer whose port was
+    /// deallocated.
     pub fn settle(&mut self) -> Result<usize, KernelError> {
         let mut processed = 0;
         loop {
@@ -458,21 +470,27 @@ impl World {
         }
     }
 
+    /// One backer pass: drains every backer port in ascending port order.
+    /// Returns the number of messages served.
     pub(crate) fn service_backers(&mut self) -> Result<usize, KernelError> {
-        let ports_list: Vec<PortId> = self.backers.keys().copied().collect();
+        // Lend the table out so `self` can be re-borrowed for sending
+        // replies; serving a message never registers or drops a backer.
+        let mut backers = std::mem::take(&mut self.backers);
+        let result = self.drain_backers(&mut backers);
+        self.backers = backers;
+        result
+    }
+
+    fn drain_backers(
+        &mut self,
+        backers: &mut BTreeMap<PortId, BackerEntry>,
+    ) -> Result<usize, KernelError> {
         let mut served = 0;
-        for port in ports_list {
+        for (&port, entry) in backers.iter_mut() {
+            // An empty live port costs one slab read; a dead one errors.
             while let Some(msg) = self.ports.dequeue(port)? {
                 served += 1;
-                // Temporarily take the entry so `self` can be re-borrowed
-                // for sending the reply.
-                let mut entry = self
-                    .backers
-                    .remove(&port)
-                    .expect("backer disappeared while being served");
-                let result = self.serve_backer_msg(port, &mut entry, &msg);
-                self.backers.insert(port, entry);
-                result?;
+                self.serve_backer_msg(port, entry, &msg)?;
             }
         }
         Ok(served)
@@ -958,6 +976,67 @@ mod tests {
         }
         assert_eq!(w.fabric.reliability.pages_recovered.get(), 2);
         assert_eq!(w.fabric.reliability.pages_lost.get(), 3);
+    }
+
+    /// A backer that logs which store served each fetch.
+    struct Recorder {
+        id: u64,
+        log: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
+    }
+
+    impl PageStore for Recorder {
+        fn fetch(&mut self, _: SegmentId, _: u64, count: u64) -> Option<Vec<Frame>> {
+            self.log.borrow_mut().push(self.id);
+            Some((0..count).map(|_| Frame::zeroed()).collect())
+        }
+
+        fn death(&mut self, _: SegmentId) {}
+
+        fn pages_held(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn service_backers_drains_in_ascending_port_order() {
+        let (mut w, a, _) = World::testbed();
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let ports: Vec<PortId> = (0..3).map(|_| w.ports.allocate(a)).collect();
+        let reply = w.ports.allocate(a);
+        // Register and queue out of port order; service order must not
+        // depend on either.
+        for &i in &[2usize, 0, 1] {
+            let store = Recorder {
+                id: ports[i].0,
+                log: log.clone(),
+            };
+            w.register_backer(ports[i], a, Box::new(store));
+        }
+        for &i in &[1usize, 2, 0, 2, 1, 0] {
+            let req = protocol::imag_read_request(ports[i], reply, SegmentId(9), 0, 1);
+            w.ports.enqueue(ports[i], req).unwrap();
+        }
+        assert_eq!(w.service_backers().unwrap(), 6);
+        let want: Vec<u64> = ports.iter().flat_map(|p| [p.0, p.0]).collect();
+        assert_eq!(*log.borrow(), want, "each port drained, lowest first");
+        assert_eq!(w.ports.queue_len(reply), 6);
+    }
+
+    #[test]
+    fn settle_reports_a_deallocated_backer_port_as_dead() {
+        let (mut w, a, _) = World::testbed();
+        let port = w.ports.allocate(a);
+        let mut store = VecStore::new();
+        store.insert(SegmentId(9), vec![Frame::zeroed()]);
+        w.register_backer(port, a, Box::new(store));
+        w.ports.deallocate(port);
+        match w.settle() {
+            Err(KernelError::Net(cor_net::NetError::Port(cor_ipc::port::PortError::Dead(p)))) => {
+                assert_eq!(p, port);
+            }
+            other => panic!("expected a dead-port error, got {other:?}"),
+        }
+        assert_eq!(w.backer_pages_held(), 1, "the backer stays registered");
     }
 
     #[test]

@@ -150,6 +150,16 @@ impl NmsState {
     }
 }
 
+/// What one [`Fabric::serve_nms`] call did.
+#[derive(Debug, Default)]
+pub struct NmsServed {
+    /// Messages dequeued from the NMS port, including any that arrived
+    /// while it was being served.
+    pub dequeued: usize,
+    /// Dequeued messages the NMS did not understand.
+    pub unhandled: Vec<Message>,
+}
+
 /// Aggregate fabric statistics.
 #[derive(Debug, Clone, Default)]
 pub struct FabricStats {
@@ -201,7 +211,9 @@ pub struct Fabric {
     /// during the settle) hang under the fault in a merged trace.
     trace_parent: SpanId,
     nodes: HashMap<NodeId, NmsState>,
-    node_order: BTreeSet<NodeId>,
+    /// Every registered node with its NMS service port, in ascending node
+    /// order: the dispatch table [`Fabric::pump`] walks each round.
+    nms_table: Vec<(NodeId, PortId)>,
     stats: FabricStats,
     /// Dedicated injection RNG, created lazily from the plan's seed.
     rng: Option<Pcg32>,
@@ -286,7 +298,7 @@ impl Fabric {
             journal: None,
             trace_parent: SpanId::NONE,
             nodes: HashMap::new(),
-            node_order: BTreeSet::new(),
+            nms_table: Vec::new(),
             stats: FabricStats::default(),
             rng: None,
             link_seq: HashMap::new(),
@@ -357,7 +369,10 @@ impl Fabric {
                 cpu: SimDuration::ZERO,
             },
         );
-        self.node_order.insert(node);
+        match self.nms_table.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(i) => self.nms_table[i].1 = port,
+            Err(i) => self.nms_table.insert(i, (node, port)),
+        }
         port
     }
 
@@ -462,7 +477,7 @@ impl Fabric {
         }
         // Fast-fail against a known-dead peer: no transmission attempt and
         // no retransmit backoff — there is nobody to acknowledge.
-        if self.crashed.contains(&dest_home) {
+        if self.is_crashed(dest_home) {
             return Err(self.node_down(clock.now(), from, dest_home, msg.kind));
         }
         let start = clock.now();
@@ -587,7 +602,7 @@ impl Fabric {
             // known-dead node.
             if self.params.crashes.is_some() {
                 self.poll_time_crashes(clock.now(), ports);
-                if self.crashed.contains(&dest_home) {
+                if self.is_crashed(dest_home) {
                     self.span_end(clock.now(), send_span);
                     return Err(self.node_down(clock.now(), from, dest_home, kind));
                 }
@@ -931,9 +946,11 @@ impl Fabric {
 
     /// Processes every message queued at `node`'s NMS port: serves read
     /// requests from cache, forwards requests on stand-ins toward their
-    /// origin, relays renamed replies, and handles segment deaths.
-    /// Returns messages the NMS did not understand (none are expected in a
-    /// healthy run).
+    /// origin, relays renamed replies, and handles segment deaths. The
+    /// queue is drained to empty, so messages that reach it while it is
+    /// being served are served too. Reports how many messages were
+    /// dequeued and returns those the NMS did not understand (none are
+    /// expected in a healthy run).
     ///
     /// # Errors
     ///
@@ -945,20 +962,21 @@ impl Fabric {
         ports: &mut PortRegistry,
         segs: &mut SegmentRegistry,
         node: NodeId,
-    ) -> Result<Vec<Message>, NetError> {
+    ) -> Result<NmsServed, NetError> {
         let port = self.nms_port(node)?;
         if self.params.crashes.is_some() {
             self.poll_time_crashes(clock.now(), ports);
         }
-        if self.crashed.contains(&node) {
+        let mut served = NmsServed::default();
+        if self.is_crashed(node) {
             // A dead NetMsgServer answers nothing; anything that somehow
             // reached its queue dies with the node.
             while ports.dequeue(port)?.is_some() {
+                served.dequeued += 1;
                 self.reliability.crash_dropped_messages.incr();
             }
-            return Ok(Vec::new());
+            return Ok(served);
         }
-        let mut unhandled = Vec::new();
         // Batched COR service: cache-hit read requests are deferred into
         // `batch` while the queue drains, then answered in merged
         // contiguous runs. The batch flushes before any message that takes
@@ -969,6 +987,7 @@ impl Fabric {
         let batching = self.params.batch_replies;
         let mut batch: Vec<(SegmentId, u64, u64, PortId, u64)> = Vec::new();
         while let Some(msg) = ports.dequeue(port)? {
+            served.dequeued += 1;
             clock.advance(self.params.nms_service);
             // Parse by value: relayed replies hand their frames through
             // without cloning the page vector.
@@ -1002,11 +1021,11 @@ impl Fabric {
                     self.flush_batch(clock, ports, segs, node, &mut batch)?;
                     self.handle_death(clock, ports, segs, node, seg)?;
                 }
-                Err(msg) => unhandled.push(msg),
+                Err(msg) => served.unhandled.push(msg),
             }
         }
         self.flush_batch(clock, ports, segs, node, &mut batch)?;
-        Ok(unhandled)
+        Ok(served)
     }
 
     /// Whether `node`'s NMS can answer a read for `[offset, offset+count)`
@@ -1326,8 +1345,21 @@ impl Fabric {
         Ok(())
     }
 
-    /// Serves every node's NMS repeatedly (in node order) until all NMS
-    /// queues are empty. Returns the number of messages processed.
+    /// Serves every node's NMS repeatedly until all NMS queues are empty.
+    /// Returns the number of messages processed: every message dequeued
+    /// from an NMS port, less those no NMS understood.
+    ///
+    /// Order contract: each round visits the live nodes in ascending node
+    /// order and drains a node's queue completely before moving on. A
+    /// message that reaches a later node's NMS mid-round is therefore
+    /// served in that round; one that reaches an earlier (already
+    /// visited) node waits for the next round. Rounds repeat until one
+    /// finds every queue empty.
+    ///
+    /// Cost model: a round reads one queue length per registered node from
+    /// the node-ordered NMS table (an array walk, no hashing), probes the
+    /// crashed set only while some node is down, and then pays for the
+    /// messages it actually serves.
     ///
     /// # Errors
     ///
@@ -1338,7 +1370,6 @@ impl Fabric {
         ports: &mut PortRegistry,
         segs: &mut SegmentRegistry,
     ) -> Result<usize, NetError> {
-        let nodes: Vec<NodeId> = self.node_order.iter().copied().collect();
         let mut processed = 0;
         loop {
             if self.params.crashes.is_some() {
@@ -1357,18 +1388,14 @@ impl Fabric {
                 self.sweep_dead_pit_waiters(clock, ports, segs)?;
             }
             let mut quiescent = true;
-            for &node in &nodes {
-                if self.crashed.contains(&node) {
-                    continue; // a dead node serves nothing
+            for i in 0..self.nms_table.len() {
+                let (node, port) = self.nms_table[i];
+                if ports.queue_len(port) == 0 || self.is_crashed(node) {
+                    continue; // nothing queued, or a dead node serves nothing
                 }
-                let port = self.nms_port(node)?;
-                let pending = ports.queue_len(port);
-                if pending > 0 {
-                    quiescent = false;
-                    processed += pending;
-                    let unhandled = self.serve_nms(clock, ports, segs, node)?;
-                    processed -= unhandled.len();
-                }
+                quiescent = false;
+                let served = self.serve_nms(clock, ports, segs, node)?;
+                processed += served.dequeued - served.unhandled.len();
             }
             if quiescent {
                 return Ok(processed);
@@ -1392,9 +1419,9 @@ impl Fabric {
         ports: &mut PortRegistry,
         segs: &mut SegmentRegistry,
     ) -> Result<(), NetError> {
-        let nodes: Vec<NodeId> = self.node_order.iter().copied().collect();
-        for node in nodes {
-            if self.crashed.contains(&node) {
+        for i in 0..self.nms_table.len() {
+            let node = self.nms_table[i].0;
+            if self.is_crashed(node) {
                 continue;
             }
             let mut keys: Vec<(SegmentId, u64)> = match self.nodes.get(&node) {
@@ -1519,7 +1546,7 @@ impl Fabric {
 
     /// Whether `node` is currently down.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed.contains(&node)
+        !self.crashed.is_empty() && self.crashed.contains(&node)
     }
 
     /// `true` if `node` has lost its volatile NetMsgServer state to a
@@ -1679,9 +1706,9 @@ impl Fabric {
     /// every segment spreads independently but reproducibly.
     fn replica_targets(&self, primary: NodeId, seg: SegmentId, factor: u64, seed: u64) -> Vec<NodeId> {
         let mut pool: Vec<NodeId> = self
-            .node_order
+            .nms_table
             .iter()
-            .copied()
+            .map(|&(n, _)| n)
             .filter(|&n| n != primary)
             .collect();
         let mut rng = Pcg32::with_stream(
@@ -2301,18 +2328,19 @@ impl Fabric {
     /// [`NetError::UnknownNode`] or [`NetError::UnknownLink`] naming the
     /// first mis-wired entity.
     pub fn validate_plans(&self) -> Result<(), NetError> {
+        let nodes: BTreeSet<NodeId> = self.nms_table.iter().map(|&(n, _)| n).collect();
         if let Some(topo) = &self.params.topology {
-            for &n in &self.node_order {
+            for &n in &nodes {
                 if !topo.contains(n) {
                     return Err(NetError::UnknownNode(n));
                 }
             }
         }
         if let Some(plan) = &self.params.faults {
-            plan.validate(&self.node_order)?;
+            plan.validate(&nodes)?;
         }
         if let Some(plan) = &self.params.crashes {
-            plan.validate(&self.node_order)?;
+            plan.validate(&nodes)?;
         }
         Ok(())
     }
@@ -2650,6 +2678,93 @@ mod tests {
         }
         // Fault-support traffic was recorded separately from bulk.
         assert!(w.fabric.ledger.total_for(LedgerCategory::FaultSupport) > 512);
+    }
+
+    /// Ships `pages` pages from `origin` to a port on `holder` as an IOU,
+    /// leaving the cache at `origin` and returning the stand-in segment
+    /// (served by `holder`'s NMS).
+    fn iou_standin(w: &mut World, origin: NodeId, holder: NodeId, pages: u8) -> SegmentId {
+        let dest = w.ports.allocate(holder);
+        let frames: Vec<Frame> = (0..pages)
+            .map(|i| Frame::new(page_from_bytes(&[i + 1])))
+            .collect();
+        let msg = Message::new(MsgKind::Rimas, dest).push(MsgItem::Pages {
+            base_page: 0,
+            frames,
+        });
+        w.fabric
+            .send(&mut w.clock, &mut w.ports, &mut w.segs, origin, msg)
+            .unwrap();
+        match w.ports.dequeue(dest).unwrap().unwrap().items[0] {
+            MsgItem::Iou { seg, .. } => seg,
+            ref other => panic!("expected Iou, got {other:?}"),
+        }
+    }
+
+    /// Queues a read of page 0 of `stand_in` on its holder's NMS, with the
+    /// reply addressed to `reply`.
+    fn queue_read(w: &mut World, holder: NodeId, stand_in: SegmentId, reply: PortId, seq: u64) {
+        let backer = w.segs.backing_port(stand_in).unwrap();
+        let req = protocol::imag_read_request(backer, reply, stand_in, 0, 1)
+            .with_seq(seq)
+            .with_no_ious(true);
+        w.fabric
+            .send(&mut w.clock, &mut w.ports, &mut w.segs, holder, req)
+            .unwrap();
+    }
+
+    #[test]
+    fn pump_serves_later_arrivals_this_round_and_earlier_ones_next_round() {
+        let mut w = fleet_world(WireParams::default(), 8);
+        let (n0, n1, n3, n6) = (NodeId(0), NodeId(1), NodeId(3), NodeId(6));
+        // Chain A: n1 forwards to its origin on the *later* node n6.
+        // Chain B: n3 forwards to its origin on the *earlier* node n0.
+        let seg_a = iou_standin(&mut w, n6, n1, 2);
+        let seg_b = iou_standin(&mut w, n0, n3, 2);
+        let reply_a = w.ports.allocate(n1);
+        let reply_b = w.ports.allocate(n3);
+        queue_read(&mut w, n1, seg_a, reply_a, 1);
+        queue_read(&mut w, n3, seg_b, reply_b, 2);
+        w.fabric.journal = Some(Journal::new());
+        w.fabric
+            .pump(&mut w.clock, &mut w.ports, &mut w.segs)
+            .unwrap();
+        // Every remote send opens a `wire-send` span on the sending node,
+        // so the span order is the order the NMSes served their queues.
+        // Round 1: n1 and n3 forward upstream; n6 (later than n1) answers
+        // in the same round. Round 2: n0 (earlier than n3) answers; the
+        // final relays on n1 and n3 are local deliveries.
+        let senders: Vec<NodeId> = w
+            .fabric
+            .journal
+            .as_ref()
+            .unwrap()
+            .spans()
+            .iter()
+            .filter(|s| s.name == "wire-send")
+            .filter_map(|s| s.node)
+            .collect();
+        assert_eq!(senders, vec![n1, n3, n6, n0]);
+        assert_eq!(w.ports.queue_len(reply_a), 1);
+        assert_eq!(w.ports.queue_len(reply_b), 1);
+    }
+
+    #[test]
+    fn pump_counts_messages_that_arrive_while_their_node_is_served() {
+        let (mut w, a, b) = world();
+        let stand_in = iou_standin(&mut w, a, b, 2);
+        // The read's reply port is b's own NMS port, so the relayed answer
+        // lands on b's queue while b is draining it: request (b), upstream
+        // read (a), relayed reply (b), and the renamed reply (b again),
+        // which b drops as stale.
+        let b_nms = w.fabric.nms_port(b).unwrap();
+        queue_read(&mut w, b, stand_in, b_nms, 7);
+        let processed = w
+            .fabric
+            .pump(&mut w.clock, &mut w.ports, &mut w.segs)
+            .unwrap();
+        assert_eq!(w.fabric.reliability.stale_replies.get(), 1);
+        assert_eq!(processed, 4, "the mid-serve arrival is counted");
     }
 
     #[test]

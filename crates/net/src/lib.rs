@@ -67,7 +67,7 @@ pub mod replay;
 pub mod topology;
 
 pub use error::NetError;
-pub use fabric::{Fabric, FabricStats, SendReport};
+pub use fabric::{Fabric, FabricStats, NmsServed, SendReport};
 pub use params::{
     CrashEvent, CrashPlan, CrashTrigger, FaultPlan, LinkFaults, ReplicationMode,
     ReplicationParams, WireParams,
