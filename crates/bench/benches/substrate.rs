@@ -12,7 +12,7 @@ use cor_mem::resident::ResidentTracker;
 use cor_mem::SegmentId;
 use cor_mem::{AddressSpace, Disk, PageNum, VAddr, PAGE_SIZE};
 use cor_net::{Topology, WireParams};
-use cor_sim::{EventQueue, Pcg32, SimTime};
+use cor_sim::Pcg32;
 
 fn bench_rng(c: &mut Criterion) {
     c.bench_function("pcg32_next_u32", |b| {
@@ -26,25 +26,6 @@ fn bench_rng(c: &mut Criterion) {
             rng.shuffle(&mut v);
             black_box(v[0])
         });
-    });
-}
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_schedule_pop_1k", |b| {
-        b.iter_batched(
-            EventQueue::<u64>::new,
-            |mut q| {
-                for i in 0..1024u64 {
-                    q.schedule(SimTime::from_micros(i * 37 % 509), i);
-                }
-                let mut acc = 0;
-                while let Some(e) = q.pop() {
-                    acc ^= e.event;
-                }
-                black_box(acc)
-            },
-            BatchSize::SmallInput,
-        );
     });
 }
 
@@ -209,7 +190,6 @@ fn bench_pool_scaling(c: &mut Criterion) {
 criterion_group!(
     substrate,
     bench_rng,
-    bench_event_queue,
     bench_amap,
     bench_space_ops,
     bench_ipc,

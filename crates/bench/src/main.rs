@@ -109,8 +109,8 @@ fn json_blame(blame: &[u64; cor_trace::BUCKET_COUNT]) -> String {
 /// and fault-span percentiles for the fixed-seed matrix trials, the
 /// fleet blame cell, and the saturation gate cells. Every number is an
 /// *integer in virtual time* (µs, counts, bytes) — no wall-clock, no
-/// floats — so a fresh run on any machine, at any thread count, under
-/// either runtime, reproduces the file byte for byte. CI diffs a fresh
+/// floats — so a fresh run on any machine, at any thread count,
+/// reproduces the file byte for byte. CI diffs a fresh
 /// capture against the committed `LATENCY_baseline.json`; any drift is a
 /// latency regression (or an intentional change that must regenerate the
 /// baseline).
@@ -346,23 +346,23 @@ fn saturation_alloc_gate() -> u64 {
 }
 
 /// Headline numbers of the fleet-storm intra-simulation scaling study:
-/// the 64-node × 512-migration torus storm as one cell, timed under the
-/// lock-step loop and under the actor runtime at a thread ladder.
+/// the 64-node × 512-migration torus storm as one cell, timed on the
+/// lock-step loop and through the sharded executor at a thread ladder.
 struct FleetStormSummary {
     /// `nodes/topology/placement/storm` of the measured cell.
     cell: String,
     lockstep_wallclock_s: f64,
-    /// `(threads, wallclock_s)` per actor run (shards = threads).
-    actor_wallclock_s: Vec<(usize, f64)>,
-    /// Actor 1-thread wall-clock over actor 4-thread wall-clock: the
+    /// `(threads, wallclock_s)` per sharded run (shards = threads).
+    sharded_wallclock_s: Vec<(usize, f64)>,
+    /// Sharded 1-thread wall-clock over sharded 4-thread wall-clock: the
     /// *intra-simulation* speedup (one big simulation split across
     /// cores), as opposed to `matrix_speedup` (independent cells fanned
     /// out). Meaningful only when `host_cores >= 4`.
     intra_sim_speedup_4t: f64,
 }
 
-/// Times the 64-node torus storm under both runtimes, asserting the CSVs
-/// byte-identical at every thread count. The actor executor shards the
+/// Times the 64-node torus storm on both executors, asserting the CSVs
+/// byte-identical at every thread count. The sharded executor splits the
 /// storm's process chains across the pool, so — on a machine with the
 /// cores to back it — this is the speedup a single simulation gets,
 /// which the lock-step engine structurally cannot have.
@@ -377,7 +377,7 @@ fn run_fleet_storm() -> FleetStormSummary {
     let lockstep = run_cell(spec);
     let lockstep_wallclock_s = t0.elapsed().as_secs_f64();
     let reference = csv_for(&[lockstep]);
-    let mut actor_wallclock_s = Vec::new();
+    let mut sharded_wallclock_s = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let pool = Pool::new(threads);
         let t0 = Instant::now();
@@ -386,12 +386,12 @@ fn run_fleet_storm() -> FleetStormSummary {
         assert_eq!(
             csv_for(&[outcome]),
             reference,
-            "actor storm CSV diverged from lock-step at {threads} threads"
+            "sharded storm CSV diverged from lock-step at {threads} threads"
         );
-        actor_wallclock_s.push((threads, secs));
+        sharded_wallclock_s.push((threads, secs));
     }
     let at = |t: usize| {
-        actor_wallclock_s
+        sharded_wallclock_s
             .iter()
             .find(|&&(n, _)| n == t)
             .map(|&(_, s)| s)
@@ -404,7 +404,7 @@ fn run_fleet_storm() -> FleetStormSummary {
         ),
         lockstep_wallclock_s,
         intra_sim_speedup_4t: at(1) / at(4),
-        actor_wallclock_s,
+        sharded_wallclock_s,
     }
 }
 
@@ -495,7 +495,7 @@ fn render_entry(
     }
     if let Some(f) = fleet_storm {
         let ladder: Vec<String> = f
-            .actor_wallclock_s
+            .sharded_wallclock_s
             .iter()
             .map(|&(t, s)| format!("\"{t}\": {}", json_f64(s)))
             .collect();
@@ -578,7 +578,7 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--threads" => {
-                threads = args.get(i + 1).and_then(|v| v.parse().ok());
+                threads = args.get(i + 1).and_then(|v| cor_pool::parse_threads(v));
                 if threads.is_none() {
                     eprintln!("--threads requires a positive integer");
                     std::process::exit(2);
@@ -763,12 +763,12 @@ fn main() {
     let fleet_storm = fleet_storm_flag.then(|| {
         let f = run_fleet_storm();
         let ladder: Vec<String> = f
-            .actor_wallclock_s
+            .sharded_wallclock_s
             .iter()
             .map(|&(t, s)| format!("{t}t {s:.2}s"))
             .collect();
         eprintln!(
-            "fleet storm {} ({} host cores): lockstep {:.2}s, actor [{}], \
+            "fleet storm {} ({} host cores): lockstep {:.2}s, sharded [{}], \
              intra-sim speedup at 4 threads {:.2}x, CSVs identical",
             f.cell,
             host_cores(),

@@ -484,7 +484,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Check> {
     // critical path exceeds its root's duration, (c) wire transit is
     // actually billed (a profiler that attributes everything to
     // local-service is lying), (d) the flamegraph's folded stacks
-    // conserve the profiled total, and (e) the sharded actor executor
+    // conserve the profiled total, and (e) the sharded fleet executor
     // reproduces the lock-step blame table byte for byte.
     let blame_spec = crate::fleet::blame_cell_spec();
     let (_, l_prof, l_links) = crate::fleet::run_cell_profiled(blame_spec);

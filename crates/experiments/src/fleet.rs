@@ -205,8 +205,9 @@ pub fn run_cell(spec: FleetSpec) -> FleetOutcome {
 /// Like [`run_cell`], but also returns the cell's critical-path
 /// [`Profile`](cor_trace::Profile) (built from the world and fabric
 /// journals) and the per-directed-link queue waits in microseconds —
-/// the inputs of [`cor_trace::Profile::blame_csv`]. The actor runtime's
-/// merge reconstructs all three byte-identically.
+/// the inputs of [`cor_trace::Profile::blame_csv`]. The sharded
+/// executor's merge ([`crate::fleet_actor`]) reconstructs all three
+/// byte-identically.
 /// The fixed cell profiled by `experiments profile fleet` and the
 /// latency baseline: 16-node ring under the low storm with least-loaded
 /// placement — small enough to profile quickly, multi-hop enough that
@@ -372,9 +373,7 @@ pub fn fleet(pool: &Pool) -> String {
     render_table(&fleet_outcomes(pool))
 }
 
-/// Renders outcomes as the human-readable fleet table (shared by the
-/// lock-step and actor runtimes, so the two are diffable byte for
-/// byte).
+/// Renders outcomes as the human-readable fleet table.
 pub fn render_table(outcomes: &[FleetOutcome]) -> String {
     let mut t = TextTable::new(&[
         "nodes",

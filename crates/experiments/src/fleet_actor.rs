@@ -1,9 +1,9 @@
-//! The conservative parallel fleet executor (`--runtime actor`).
+//! The sharded fleet executor.
 //!
-//! [`crate::fleet::run_cell`] drives a storm cell through the global
-//! lock-step loop: one thread, one world, every migration strictly
-//! sequential on the virtual clock. This module executes the *same
-//! cell* as a conservative parallel discrete-event simulation:
+//! [`crate::fleet::run_cell`] drives a storm cell on one world: one
+//! thread, every migration strictly sequential on the virtual clock.
+//! This module executes the *same cell* as a conservative parallel
+//! simulation:
 //!
 //! 1. **Plan (serial).** A dry pre-pass replays the storm's control
 //!    decisions without simulating anything: pid assignment in spawn
@@ -12,16 +12,16 @@
 //!    reproducible because every placement policy is deterministic over
 //!    `(loads, topology, seed, pid)`. The result is the cell's full
 //!    chain list: `(pid, source, dest)` per migrating process.
-//! 2. **Execute (parallel).** Chains are partitioned into shards; each
+//! 2. **Shard (parallel).** Chains are partitioned into shards; each
 //!    shard executes its chains on a private world (same topology, same
-//!    seeds) driven by per-node [`cor_sim::NodeRuntime`]s, advancing in
-//!    three epochs (spawn → storm → post-storm run) whose events pop in
-//!    `(virtual_time, node, seq)` order — the lock-step order. Each
-//!    chain unit (one migration, one post-storm run) executes with link
-//!    occupancy cleared at its start and records its routed
-//!    transmissions ([`cor_net::replay::WireSend`]), so what the shard
-//!    measures is the unit's *nominal* schedule, independent of which
-//!    shard ran it or what ran before it.
+//!    seeds) in three epochs — spawn in chain order, storm in chain
+//!    order, post-storm run in `(dest, pid)` order — the lock-step order
+//!    restricted to the shard. Each chain unit (one migration, one
+//!    post-storm run) executes with link occupancy cleared at its start
+//!    and records its routed transmissions
+//!    ([`cor_net::replay::WireSend`]), so what the shard measures is the
+//!    unit's *nominal* schedule, independent of which shard ran it or
+//!    what ran before it.
 //! 3. **Merge (deterministic).** Byte counts, link tables, and survivor
 //!    counts are order-independent sums. The *timing* couplings the
 //!    isolated units could not see — a unit's first messages queueing
@@ -34,11 +34,12 @@
 //!    therefore the rendered CSV — are byte-identical to the lock-step
 //!    cell at every shard and thread count.
 //!
-//! Configurations that couple chains beyond the wire (injected faults,
-//! crash plans, replication write-through, the batched/coalesced hot
-//! path) are rejected by [`parallel_eligible`] and take the single-shard
-//! schedule instead. `docs/RUNTIME.md` gives the full determinism
-//! argument.
+//! Only wire couplings are replayed. [`parallel_eligible`] names the
+//! configurations that would couple chains beyond the wire (injected
+//! faults, crash plans, replication write-through, the
+//! batched/coalesced hot path). A [`FleetSpec`] carries no wire knobs,
+//! so every fleet cell is eligible by construction; the shard only
+//! asserts it. `docs/RUNTIME.md` gives the full determinism argument.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -49,13 +50,11 @@ use cor_migrate::{MigrationManager, Strategy};
 use cor_net::replay::{LinkReplay, SendDelta, UnitSend};
 use cor_net::WireParams;
 use cor_pool::Pool;
-use cor_sim::runtime::{run_serial, NodeRuntime};
 use cor_sim::{JournalLevel, SimDuration, SimTime};
 use cor_trace::{LogHistogram, ProfSpan, Profile, SpanId};
 
 use crate::fleet::{
-    csv_for, placement_for, render_table, spawn_proc, topology_for, FleetOutcome, FleetSpec,
-    LinkWaits, FLEET_SEED,
+    placement_for, spawn_proc, topology_for, FleetOutcome, FleetSpec, LinkWaits, FLEET_SEED,
 };
 
 /// Whether a wire configuration admits the parallel chain-sharded
@@ -63,7 +62,8 @@ use crate::fleet::{
 /// beyond link occupancy — injected faults (time- and count-triggered
 /// plans observe global message order), node crashes, replication
 /// write-through, or the batched/coalesced hot path (cross-request state
-/// at the NMS) — requires the single-shard schedule instead.
+/// at the NMS) — would need the lock-step [`crate::fleet::run_cell`]
+/// instead.
 pub fn parallel_eligible(w: &WireParams) -> bool {
     w.faults.is_none()
         && w.crashes.is_none()
@@ -272,18 +272,6 @@ struct ShardResult {
     remote_msgs: u64,
 }
 
-/// The three storm epochs, as events on the per-node runtimes.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Build and run chain `i`'s process at its source (write phase).
-    Spawn(usize),
-    /// Migrate chain `i` to its planned destination.
-    Migrate(usize),
-    /// Resume chain `i` at its destination (the read-back phase that
-    /// drives copy-on-reference faults across the fabric).
-    Run(usize),
-}
-
 /// Executes `chains` (a subset of the plan, in global order) on a
 /// private world and harvests per-chain measurements.
 ///
@@ -311,8 +299,7 @@ fn run_shard(
         .map(|&n| MigrationManager::new(&mut world, n))
         .collect();
 
-    let mut rts: Vec<NodeRuntime<Ev>> = (0..spec.nodes).map(|n| NodeRuntime::new(n, 0)).collect();
-    let mut pids = vec![cor_kernel::ProcessId(u64::MAX); chains.len()];
+    let mut pids = Vec::with_capacity(chains.len());
     let mut mig_units: Vec<(usize, UnitTrace)> = Vec::with_capacity(chains.len());
     let mut run_units: Vec<(usize, UnitTrace)> = Vec::with_capacity(chains.len());
     let mut spawn_units: Vec<(usize, SpawnUnit)> = Vec::new();
@@ -326,31 +313,24 @@ fn run_shard(
         (len, capture_unit(&world, SimTime::ZERO, 0, 0))
     });
 
-    // Epoch 1: spawns. All events at the same instant, popping in
-    // (node, seq) order — the lock-step spawn order restricted to this
-    // shard, so pids come out in the same relative order.
-    let t0 = world.clock.now();
-    for (local, &(_, c)) in chains.iter().enumerate() {
-        rts[c.source.0 as usize].post(t0, Ev::Spawn(local));
-    }
-    run_serial(&mut rts, |_, _, _, ev| {
-        if let Ev::Spawn(local) = ev {
-            let (global, c) = chains[local];
-            let started = world.clock.now();
-            let cursors = capture.then(|| journal_cursors(&world));
-            pids[local] = spawn_proc(&mut world, c.source);
-            if let Some((wc, fc)) = cursors {
-                let len = world.clock.now().since(started);
-                spawn_units.push((
-                    global,
-                    SpawnUnit {
-                        len,
-                        spans: capture_unit(&world, started, wc, fc),
-                    },
-                ));
-            }
+    // Epoch 1: spawns, in chain order — the lock-step spawn order
+    // restricted to this shard, so pids come out in the same relative
+    // order.
+    for &(global, c) in &chains {
+        let started = world.clock.now();
+        let cursors = capture.then(|| journal_cursors(&world));
+        pids.push(spawn_proc(&mut world, c.source));
+        if let Some((wc, fc)) = cursors {
+            let len = world.clock.now().since(started);
+            spawn_units.push((
+                global,
+                SpawnUnit {
+                    len,
+                    spans: capture_unit(&world, started, wc, fc),
+                },
+            ));
         }
-    });
+    }
 
     // Spawning is purely node-local: nothing has touched a link yet, so
     // the absolute link/remote-message counters harvested below are
@@ -362,92 +342,83 @@ fn run_shard(
         "spawn epoch must not touch the fabric"
     );
 
-    // Epoch 2: the storm. One migration unit per chain, events posted in
-    // global storm order and popped in (source, seq) order. Links are
-    // cleared at each unit start so the recorded schedule is nominal.
-    let t1 = world.clock.now();
-    for (local, &(_, c)) in chains.iter().enumerate() {
-        rts[c.source.0 as usize].post(t1, Ev::Migrate(local));
+    // Epoch 2: the storm. One migration unit per chain, in global storm
+    // order. Links are cleared at each unit start so the recorded
+    // schedule is nominal.
+    for (local, &(global, c)) in chains.iter().enumerate() {
+        world.fabric.clear_link_busy();
+        let started = world.clock.now();
+        let cursors = capture.then(|| journal_cursors(&world));
+        managers[c.source.0 as usize]
+            .migrate_to(
+                &mut world,
+                &managers[c.dest.0 as usize],
+                pids[local],
+                Strategy::PureIou { prefetch: 1 },
+            )
+            .expect("storm migration");
+        let len = world.clock.now().since(started);
+        let sends = world
+            .fabric
+            .take_wire_sends()
+            .into_iter()
+            .map(|s| s.rebase(started))
+            .collect();
+        let cap = cursors.map(|(wc, fc)| capture_unit(&world, started, wc, fc));
+        mig_units.push((
+            global,
+            UnitTrace {
+                len,
+                sends,
+                spans: Vec::new(),
+                cap,
+            },
+        ));
     }
-    run_serial(&mut rts, |_, _, _, ev| {
-        if let Ev::Migrate(local) = ev {
-            let (global, c) = chains[local];
-            world.fabric.clear_link_busy();
-            let started = world.clock.now();
-            let cursors = capture.then(|| journal_cursors(&world));
-            managers[c.source.0 as usize]
-                .migrate_to(
-                    &mut world,
-                    &managers[c.dest.0 as usize],
-                    pids[local],
-                    Strategy::PureIou { prefetch: 1 },
-                )
-                .expect("storm migration");
-            let len = world.clock.now().since(started);
-            let sends = world
-                .fabric
-                .take_wire_sends()
-                .into_iter()
-                .map(|s| s.rebase(started))
-                .collect();
-            let cap = cursors.map(|(wc, fc)| capture_unit(&world, started, wc, fc));
-            mig_units.push((
-                global,
-                UnitTrace {
-                    len,
-                    sends,
-                    spans: Vec::new(),
-                    cap,
-                },
-            ));
-        }
-    });
 
     // Epoch 3: post-storm runs, in the lock-step order (destination
     // ascending, then pid): the read phase faults pages back. The
     // journal cursor attributes each unit's imag-fault spans.
-    let t2 = world.clock.now();
     let mut run_order: Vec<usize> = (0..chains.len()).collect();
     run_order.sort_by_key(|&l| (chains[l].1.dest, chains[l].1.pid));
     for local in run_order {
-        rts[chains[local].1.dest.0 as usize].post(t2, Ev::Run(local));
-    }
-    let mut spans_seen = 0usize;
-    run_serial(&mut rts, |_, _, _, ev| {
-        if let Ev::Run(local) = ev {
-            let (global, c) = chains[local];
-            world.fabric.clear_link_busy();
-            let started = world.clock.now();
-            if let Some(journal) = &world.journal {
-                spans_seen = journal.spans().len();
-            }
-            let fcur = capture
-                .then(|| world.fabric.journal.as_ref().map_or(0, |j| j.spans().len()));
-            let report = world.run(c.dest, pids[local]).expect("post-storm run");
-            if report.finished {
-                survived += 1;
-            }
-            let len = world.clock.now().since(started);
-            let sends = world
-                .fabric
-                .take_wire_sends()
-                .into_iter()
-                .map(|s| s.rebase(started))
-                .collect();
-            let mut spans = Vec::new();
-            if let Some(journal) = &world.journal {
-                for span in &journal.spans()[spans_seen..] {
-                    if span.name == "imag-fault" {
-                        if let Some(d) = span.duration() {
-                            spans.push((span.start.since(started), d));
-                        }
+        let (global, c) = chains[local];
+        world.fabric.clear_link_busy();
+        let started = world.clock.now();
+        let spans_seen = world.journal.as_ref().map_or(0, |j| j.spans().len());
+        let fcur = capture.then(|| world.fabric.journal.as_ref().map_or(0, |j| j.spans().len()));
+        let report = world.run(c.dest, pids[local]).expect("post-storm run");
+        if report.finished {
+            survived += 1;
+        }
+        let len = world.clock.now().since(started);
+        let sends = world
+            .fabric
+            .take_wire_sends()
+            .into_iter()
+            .map(|s| s.rebase(started))
+            .collect();
+        let mut spans = Vec::new();
+        if let Some(journal) = &world.journal {
+            for span in &journal.spans()[spans_seen..] {
+                if span.name == "imag-fault" {
+                    if let Some(d) = span.duration() {
+                        spans.push((span.start.since(started), d));
                     }
                 }
             }
-            let cap = fcur.map(|fc| capture_unit(&world, started, spans_seen, fc));
-            run_units.push((global, UnitTrace { len, sends, spans, cap }));
         }
-    });
+        let cap = fcur.map(|fc| capture_unit(&world, started, spans_seen, fc));
+        run_units.push((
+            global,
+            UnitTrace {
+                len,
+                sends,
+                spans,
+                cap,
+            },
+        ));
+    }
 
     let drain_residents = drain_set.iter().map(|&n| world.node_load(n).unwrap()).sum();
     let links = world
@@ -728,18 +699,18 @@ fn merge_full(
     (outcome, profiled)
 }
 
-/// Runs one cell under the actor runtime, fanning `shards` worlds
-/// across `pool`. Byte-identical to [`crate::fleet::run_cell`] for any
-/// `shards >= 1` at any thread count.
+/// Runs one cell sharded, fanning `shards` worlds across `pool`.
+/// Byte-identical to [`crate::fleet::run_cell`] for any `shards >= 1` at
+/// any thread count.
 pub fn run_cell_actor(spec: FleetSpec, pool: &Pool, shards: usize) -> FleetOutcome {
     run_cell_actor_inner(spec, pool, shards, false).0
 }
 
-/// Runs one cell under the actor runtime with full span capture:
-/// returns the outcome plus the merged critical-path profile and the
-/// per-directed-link queue waits (µs) — all three byte-identical to
-/// [`crate::fleet::run_cell_profiled`] on the lock-step runtime, for
-/// any shard partition at any thread count.
+/// Runs one cell sharded with full span capture: returns the outcome
+/// plus the merged critical-path profile and the per-directed-link queue
+/// waits (µs) — all three byte-identical to
+/// [`crate::fleet::run_cell_profiled`], for any shard partition at any
+/// thread count.
 pub fn run_cell_actor_profiled(
     spec: FleetSpec,
     pool: &Pool,
@@ -773,30 +744,10 @@ fn run_cell_actor_inner(
     merge_full(spec, &plan.chains, results, capture)
 }
 
-/// Computes the given cells under the actor runtime. Cells run one
-/// after another; the pool's parallelism goes *inside* each cell (the
-/// intra-simulation speedup the lock-step engine cannot have).
-pub fn actor_outcomes_for(specs: Vec<FleetSpec>, pool: &Pool) -> Vec<FleetOutcome> {
-    specs
-        .into_iter()
-        .map(|spec| run_cell_actor(spec, pool, pool.threads().max(1)))
-        .collect()
-}
-
-/// The fleet table under the actor runtime.
-pub fn fleet_actor(pool: &Pool) -> String {
-    render_table(&actor_outcomes_for(crate::fleet::cells(), pool))
-}
-
-/// The fleet CSV under the actor runtime.
-pub fn fleet_actor_csv(pool: &Pool) -> String {
-    csv_for(&actor_outcomes_for(crate::fleet::cells(), pool))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{gate_cells, run_cell, STORM_LOW};
+    use crate::fleet::{csv_for, gate_cells, run_cell, STORM_LOW};
 
     fn spec16(placement: &'static str) -> FleetSpec {
         FleetSpec {
@@ -867,7 +818,12 @@ mod tests {
             &Pool::serial(),
         ));
         for threads in [1, 2, 4] {
-            let actor = csv_for(&actor_outcomes_for(gate_cells(), &Pool::new(threads)));
+            let pool = Pool::new(threads);
+            let outcomes: Vec<FleetOutcome> = gate_cells()
+                .into_iter()
+                .map(|spec| run_cell_actor(spec, &pool, threads))
+                .collect();
+            let actor = csv_for(&outcomes);
             assert_eq!(actor, lockstep, "{threads} threads");
         }
     }

@@ -3618,8 +3618,10 @@ mod tests {
 
     #[test]
     fn replicate_backing_spreads_pages_and_replica_read_fails_over() {
-        let mut params = WireParams::default();
-        params.replication = Some(crate::ReplicationParams::primary_backup(2, 7));
+        let params = WireParams {
+            replication: Some(crate::ReplicationParams::primary_backup(2, 7)),
+            ..WireParams::default()
+        };
         let mut w = fleet_world(params, 4);
         let primary = NodeId(0);
         let seg = SegmentId(91);
@@ -3682,8 +3684,10 @@ mod tests {
 
     #[test]
     fn replica_placement_is_deterministic_per_segment() {
-        let mut params = WireParams::default();
-        params.replication = Some(crate::ReplicationParams::quorum(2, 0xABCD));
+        let params = WireParams {
+            replication: Some(crate::ReplicationParams::quorum(2, 0xABCD)),
+            ..WireParams::default()
+        };
         let build = || {
             let mut w = fleet_world(params.clone(), 6);
             let frames = vec![Frame::new(page_from_bytes(b"page"))];

@@ -42,6 +42,14 @@ use std::sync::Mutex;
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "COR_THREADS";
 
+/// Parses a worker count as given to `--threads` or [`THREADS_ENV`]: a
+/// positive integer (surrounding whitespace allowed). Zero and anything
+/// unparseable are `None`, so a caller can reject them instead of
+/// silently running a different width.
+pub fn parse_threads(s: &str) -> Option<usize> {
+    s.trim().parse::<usize>().ok().filter(|&n| n > 0)
+}
+
 /// Jobs claimed per queue interaction. Trials are coarse (milliseconds to
 /// seconds each), so a small chunk keeps the tail balanced; the chunking
 /// exists so a future fine-grained workload can raise it without touching
@@ -77,8 +85,7 @@ impl Pool {
     pub fn from_env() -> Self {
         let threads = std::env::var(THREADS_ENV)
             .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
+            .and_then(|v| parse_threads(&v))
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
@@ -215,6 +222,15 @@ mod tests {
     fn thread_count_clamps_to_one() {
         assert_eq!(Pool::new(0).threads(), 1);
         assert_eq!(Pool::serial().threads(), 1);
+    }
+
+    #[test]
+    fn parse_threads_rejects_zero_and_junk() {
+        assert_eq!(parse_threads("4"), Some(4));
+        assert_eq!(parse_threads(" 2\n"), Some(2));
+        assert_eq!(parse_threads("0"), None);
+        assert_eq!(parse_threads("-1"), None);
+        assert_eq!(parse_threads("four"), None);
     }
 
     #[test]

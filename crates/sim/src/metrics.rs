@@ -1,4 +1,5 @@
-//! Measurement instruments: counters, byte ledgers, histograms, series.
+//! Measurement instruments: counters, byte ledgers, reliability stats,
+//! series.
 //!
 //! The experiments regenerate the paper's tables and figures from these
 //! records. In particular the [`Ledger`] tags every wire transmission with a
@@ -351,76 +352,6 @@ impl TimeSeries {
     }
 }
 
-/// A histogram with fixed-width buckets, used for fault service times.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    width: u64,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `nbuckets` buckets each `width` wide; values
-    /// beyond the last bucket are clamped into it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or `nbuckets` is zero.
-    pub fn new(width: u64, nbuckets: usize) -> Self {
-        assert!(
-            width > 0 && nbuckets > 0,
-            "histogram shape must be non-empty"
-        );
-        Histogram {
-            width,
-            buckets: vec![0; nbuckets],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        let idx = ((value / self.width) as usize).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Records a duration observation in microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros());
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean observation, or zero when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest observation seen.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,17 +483,5 @@ mod tests {
         s.push(SimTime::from_secs(2), 3.0);
         assert_eq!(s.max(), Some(5.0));
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn histogram_basic_stats() {
-        let mut h = Histogram::new(10, 5);
-        for v in [1, 11, 21, 21, 999] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.max(), 999);
-        assert_eq!(h.buckets(), &[1, 1, 2, 0, 1]); // 999 clamps to last
-        assert!((h.mean() - 210.6).abs() < 1e-9);
     }
 }

@@ -83,9 +83,9 @@ pub struct Journal {
     span_base: u64,
     /// Per-span birth stamps, aligned with `spans`. When a shared
     /// [`Journal::set_birth_counter`] is installed, stamps are globally
-    /// ordered across every journal sharing the counter (the actor
-    /// runtime's span merge needs creation order across the world and
-    /// fabric journals); otherwise they fall back to the local index.
+    /// ordered across every journal sharing the counter (the sharded
+    /// fleet executor's span merge needs creation order across the world
+    /// and fabric journals); otherwise they fall back to the local index.
     births: Vec<u64>,
     /// Per-span death stamps from the same counter ([`u64::MAX`] while
     /// open). Together with `births` they recover which spans were open

@@ -41,7 +41,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`sim`] | `cor-sim` | virtual time, deterministic RNG, events, metrics |
+//! | [`sim`] | `cor-sim` | virtual time, deterministic RNG, metrics, the journal-level knob |
 //! | [`trace`] | `cor-trace` | typed journal, causal spans, per-node metrics, Perfetto/JSONL export |
 //! | [`mem`] | `cor-mem` | pages, sparse address spaces, AMaps, copy-on-write, imaginary mappings, disk, resident sets |
 //! | [`ipc`] | `cor-ipc` | ports, rights, typed messages, imaginary segments, the backing protocol |

@@ -1,189 +1,20 @@
-//! Cross-runtime equivalence laws: `--runtime actor` must be invisible
-//! in every observable output.
+//! Sharded-executor equivalence laws: running a fleet storm cell
+//! through `cor_experiments::fleet_actor` must be invisible in every
+//! observable output.
 //!
-//! The actor runtime routes trials through per-node event runtimes
-//! (`cor_sim::NodeRuntime`) and executes fleet cells as conservative
-//! parallel simulations (`cor_experiments::fleet_actor`). Both are
-//! required to reproduce the lock-step schedule *exactly*: identical
-//! journals, identical ledger category totals, identical end times,
-//! identical CSV bytes — across random workloads, strategies, chaos
-//! wire plans, shard counts, and thread counts.
+//! The sharded executor splits a cell's per-process chains across
+//! private worlds and merges them through the link-schedule replay. It
+//! is required to reproduce the lock-step cell *exactly*: identical CSV
+//! bytes, identical blame tables, flamegraphs and span exports — across
+//! topologies, placements, shard counts and thread counts.
 
-use cor::kernel::program::Trace;
-use cor::kernel::{RuntimeKind, World};
-use cor::mem::{AddressSpace, PageNum, VAddr, PAGE_SIZE};
-use cor::migrate::{MigrationManager, Strategy};
-use cor::net::FaultPlan;
-use cor::sim::{LedgerCategory, SimTime};
-use cor_experiments::fleet::{csv_for, run_cell, FleetSpec, STORM_LOW};
+use cor_experiments::fleet::{cells, csv_for, fleet_csv, run_cell, FleetSpec, STORM_LOW};
 use cor_experiments::fleet_actor::run_cell_actor;
-use cor_experiments::runner::run_trial_with_runtime;
-use cor_experiments::trace::traced_trial_with_runtime;
 use cor_pool::Pool;
-use cor_sim::runtime::{run_serial, NodeRuntime};
 use proptest::prelude::*;
-
-/// Everything observable about one seeded trial: touched-memory
-/// checksum, virtual end time, per-category ledger totals, and the full
-/// fault journal rendered line by line.
-type Observed = (u64, SimTime, Vec<u64>, Vec<String>);
-
-/// One seeded (optionally lossy) migration trial driven under `runtime`:
-/// build, migrate, run — the same call sequence either made directly
-/// (lock-step) or popped off per-node event runtimes (actor).
-fn observed_trial(seed: u64, drop_pct: u64, prefetch: u64, runtime: RuntimeKind) -> Observed {
-    let (mut world, a, b) = World::testbed();
-    if drop_pct > 0 {
-        world.fabric.params.faults = Some(FaultPlan::dropping(seed, drop_pct as f64 / 100.0));
-    }
-    world.enable_journal();
-    let src = MigrationManager::new(&mut world, a);
-    let dst = MigrationManager::new(&mut world, b);
-    let pages = 32u64;
-    let mut space = AddressSpace::new();
-    space.validate(VAddr(0), 4 * pages * PAGE_SIZE).unwrap();
-    let mut tb = Trace::builder();
-    for i in 0..pages {
-        tb.write(PageNum(i).base(), 64);
-    }
-    for i in 0..pages / 2 {
-        tb.read(PageNum(i * 2).base(), 64);
-    }
-    let pid = world
-        .create_process(a, "law", space, tb.terminate())
-        .unwrap();
-
-    #[derive(Clone, Copy)]
-    enum Phase {
-        Prepare,
-        Migrate,
-        Run,
-    }
-    let phases = |world: &mut World, phase: Phase| match phase {
-        Phase::Prepare => {
-            world.run_for(a, pid, pages as usize).unwrap();
-            world.reset_touch_tracking(a, pid).unwrap();
-        }
-        Phase::Migrate => {
-            src.migrate_to(world, &dst, pid, Strategy::PureIou { prefetch })
-                .unwrap();
-        }
-        Phase::Run => {
-            world.run(b, pid).unwrap();
-        }
-    };
-    match runtime {
-        RuntimeKind::Lockstep => {
-            phases(&mut world, Phase::Prepare);
-            phases(&mut world, Phase::Migrate);
-            phases(&mut world, Phase::Run);
-        }
-        RuntimeKind::Actor => {
-            // The whole causal chain posted up front: at one instant the
-            // pop order is (node, seq) — Prepare (a,0), Migrate (a,1),
-            // Run (b,0) — exactly the lock-step sequence.
-            let mut rts: Vec<NodeRuntime<Phase>> =
-                (0..2).map(|n| NodeRuntime::new(n, 0)).collect();
-            let t0 = world.clock.now();
-            rts[a.0 as usize].post(t0, Phase::Prepare);
-            rts[a.0 as usize].post(t0, Phase::Migrate);
-            rts[b.0 as usize].post(t0, Phase::Run);
-            run_serial(&mut rts, |_, _, _, phase| phases(&mut world, phase));
-        }
-    }
-
-    let ledger: Vec<u64> = LedgerCategory::ALL
-        .iter()
-        .map(|&c| world.fabric.ledger.total_for(c))
-        .collect();
-    let journal = world
-        .fabric
-        .journal
-        .as_ref()
-        .map(|j| {
-            j.events()
-                .iter()
-                .map(|e| format!("{} {} {}", e.at, e.kind(), e.detail()))
-                .collect()
-        })
-        .unwrap_or_default();
-    (
-        world.touched_checksum(b, pid).unwrap(),
-        world.clock.now(),
-        ledger,
-        journal,
-    )
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Law: a seeded trial — including under a chaos wire plan — is
-    /// observationally identical under both runtimes: same journal, same
-    /// ledger totals, same end time, same touched memory.
-    #[test]
-    fn chaos_trials_are_runtime_invariant(
-        seed in any::<u64>(),
-        drop_pct in 0u64..15,
-        prefetch in 0u64..4,
-    ) {
-        let lockstep = observed_trial(seed, drop_pct, prefetch, RuntimeKind::Lockstep);
-        let actor = observed_trial(seed, drop_pct, prefetch, RuntimeKind::Actor);
-        prop_assert_eq!(lockstep, actor);
-    }
-
-    /// Law: the full trial record (every strategy, every workload) is
-    /// runtime-invariant — ledger category totals and virtual end time
-    /// included.
-    #[test]
-    fn trial_records_are_runtime_invariant(
-        widx in 0usize..6,
-        sidx in 0usize..5,
-    ) {
-        let workloads = cor_workloads::all();
-        let w = &workloads[widx % workloads.len()];
-        let strategy = [
-            Strategy::PureCopy,
-            Strategy::PureIou { prefetch: 0 },
-            Strategy::PureIou { prefetch: 3 },
-            Strategy::PureIou { prefetch: 15 },
-            Strategy::ResidentSet { prefetch: 1 },
-        ][sidx];
-        let costs = cor::kernel::CostModel::default();
-        let wire = cor::net::WireParams::default();
-        let a = run_trial_with_runtime(w, strategy, costs.clone(), wire.clone(), RuntimeKind::Lockstep);
-        let b = run_trial_with_runtime(w, strategy, costs, wire, RuntimeKind::Actor);
-        prop_assert_eq!(a.end_time, b.end_time);
-        prop_assert_eq!(a.total_bytes, b.total_bytes);
-        prop_assert_eq!(a.msgs, b.msgs);
-        prop_assert_eq!(a.exec_elapsed, b.exec_elapsed);
-        for &c in LedgerCategory::ALL.iter() {
-            prop_assert_eq!(a.ledger.total_for(c), b.ledger.total_for(c), "{:?}", c);
-        }
-    }
-
-    /// Law: the exported trace of a journaled trial — the JSONL span
-    /// stream, the Perfetto document, and the profile built on top of
-    /// them — is byte-identical between runtimes for every workload.
-    /// This is what makes `--trace-out` under `--runtime actor` safe.
-    #[test]
-    fn traced_exports_are_runtime_invariant(widx in 0usize..6) {
-        let workloads = cor_workloads::all();
-        let w = &workloads[widx % workloads.len()];
-        let level = cor::sim::JournalLevel::Full;
-        let lockstep = traced_trial_with_runtime(w, level, RuntimeKind::Lockstep);
-        let actor = traced_trial_with_runtime(w, level, RuntimeKind::Actor);
-        prop_assert_eq!(lockstep.jsonl(), actor.jsonl());
-        prop_assert_eq!(lockstep.perfetto(), actor.perfetto());
-        let (lp, ap) = (lockstep.profile(), actor.profile());
-        prop_assert!(lp.sums_exactly());
-        prop_assert_eq!(
-            lp.blame_csv(&lockstep.link_waits()),
-            ap.blame_csv(&actor.link_waits())
-        );
-        prop_assert_eq!(lp.folded(), ap.folded());
-        prop_assert_eq!(lp.jsonl(), ap.jsonl());
-    }
 
     /// Law: a fleet storm cell rendered to CSV is byte-identical between
     /// the lock-step loop and the sharded parallel executor, for any
@@ -230,5 +61,21 @@ fn fleet_profiles_are_runtime_invariant() {
         );
         assert_eq!(l_prof.folded(), a_prof.folded(), "threads={threads}");
         assert_eq!(l_prof.jsonl(), a_prof.jsonl(), "threads={threads}");
+    }
+}
+
+/// Law: the full fleet sweep rendered through the sharded executor, with
+/// shards = threads ∈ {1, 4, 8}, is byte-identical to the `fleet-csv`
+/// artifact.
+#[test]
+fn fleet_sweep_is_shard_invariant() {
+    let reference = fleet_csv(&Pool::serial());
+    for threads in [1usize, 4, 8] {
+        let pool = Pool::new(threads);
+        let outcomes: Vec<_> = cells()
+            .into_iter()
+            .map(|spec| run_cell_actor(spec, &pool, threads))
+            .collect();
+        assert_eq!(csv_for(&outcomes), reference, "threads={threads}");
     }
 }
