@@ -29,9 +29,14 @@ const FAULTS: u64 = 256;
 /// A faulting-side space with `n` imaginary pages backed by segment 7.
 fn imaginary_space(n: u64) -> (AddressSpace, Disk) {
     let mut space = AddressSpace::new();
-    let disk = Disk::new();
+    let mut disk = Disk::new();
     space.validate(VAddr(0), n * cor_mem::PAGE_SIZE).unwrap();
-    space.map_imaginary(PageRange::new(PageNum(0), PageNum(n)), SegmentId(7), 0);
+    space.map_imaginary(
+        PageRange::new(PageNum(0), PageNum(n)),
+        SegmentId(7),
+        0,
+        &mut disk,
+    );
     (space, disk)
 }
 

@@ -29,9 +29,15 @@ fn bench_rng(c: &mut Criterion) {
     });
 }
 
-fn lisp_sized_space() -> (AddressSpace, Disk) {
-    // ~4300 materialized pages scattered like the Lisp heap, 4 GB validated.
+/// Lisp-T's frame budget (Table 4-2: 372 resident pages).
+const LISP_FRAME_BUDGET: usize = 372;
+
+/// ~4200 materialized pages scattered like the Lisp heap, 4 GB validated.
+/// Under `budget`, every install past it pages the LRU page out to the
+/// returned disk, as the Lisp builds do.
+fn lisp_sized_space(budget: Option<usize>) -> (AddressSpace, Disk) {
     let mut space = AddressSpace::new();
+    space.set_frame_budget(budget);
     let mut disk = Disk::new();
     space.validate(VAddr(0), 4_228_129_280).unwrap();
     let mut rng = Pcg32::new(7);
@@ -47,7 +53,7 @@ fn lisp_sized_space() -> (AddressSpace, Disk) {
 }
 
 fn bench_amap(c: &mut Criterion) {
-    let (space, _disk) = lisp_sized_space();
+    let (space, _disk) = lisp_sized_space(None);
     c.bench_function("amap_construction_lisp_sized", |b| {
         b.iter(|| black_box(space.amap().len()));
     });
@@ -58,6 +64,40 @@ fn bench_amap(c: &mut Criterion) {
             let p = PageNum(rng.range(0, 2_000_000));
             black_box(amap.lookup(p))
         });
+    });
+}
+
+/// The mem- and core-layer halves of a Lisp-T trial: building the sparse
+/// space under its frame budget (install, LRU touch, page-out), and
+/// excising it from one node and inserting it on the other (AMap walk,
+/// RIMAS collapse, run-by-run reinstall).
+fn bench_lisp(c: &mut Criterion) {
+    use cor_migrate::{excise_process, insert_process};
+    c.bench_function("lisp_t_build", |b| {
+        b.iter(|| {
+            let (space, disk) = lisp_sized_space(Some(LISP_FRAME_BUDGET));
+            black_box((space.pageouts(), disk.blocks_in_use()))
+        });
+    });
+    c.bench_function("lisp_t_excise_insert", |b| {
+        b.iter_batched(
+            || {
+                let (mut world, a, b) = World::testbed();
+                let (space, disk) = lisp_sized_space(Some(LISP_FRAME_BUDGET));
+                world.node_mut(a).unwrap().disk = disk;
+                let trace =
+                    cor_kernel::program::Trace::new(vec![cor_kernel::program::Op::Terminate]);
+                let pid = world.create_process(a, "lisp", space, trace).unwrap();
+                let dest = world.ports.allocate(b);
+                (world, a, b, pid, dest)
+            },
+            |(mut world, a, b, pid, dest)| {
+                let (excised, _) = excise_process(&mut world, a, pid, dest).unwrap();
+                let (_, report) = insert_process(&mut world, b, excised).unwrap();
+                black_box(report.carried_pages)
+            },
+            BatchSize::SmallInput,
+        );
     });
 }
 
@@ -191,6 +231,7 @@ criterion_group!(
     substrate,
     bench_rng,
     bench_amap,
+    bench_lisp,
     bench_space_ops,
     bench_ipc,
     bench_pool_scaling

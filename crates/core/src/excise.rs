@@ -16,7 +16,7 @@ use cor_kernel::process::ProcessId;
 use cor_kernel::{KernelError, World};
 use cor_mem::amap::Access;
 use cor_mem::page::Frame;
-use cor_mem::PageState;
+use cor_mem::{PageNum, PageState};
 use cor_sim::SimDuration;
 
 use crate::context::{CoreBlob, ExcisedProcess};
@@ -79,49 +79,61 @@ pub fn excise_process(
     let mut imag_pages = 0u64;
     {
         let n = world.node_mut(node)?;
-        let (processes, disk) = (&mut n.processes, &mut n.disk);
+        let (processes, disk) = (&n.processes, &mut n.disk);
         let process = processes
-            .get_mut(&pid)
+            .get(&pid)
             .ok_or(KernelError::UnknownProcess(pid))?;
+        let missing = |page| {
+            KernelError::Mem(cor_mem::MemError::BadState(
+                page,
+                "AMap says Real but page is missing",
+            ))
+        };
         for entry in amap.entries() {
             match entry.access {
                 Access::RealZero => {} // reconstructed from the AMap alone
                 Access::Real => {
-                    for page in entry.range.iter() {
+                    // The page table holds exactly this entry's pages, in
+                    // order: walk them in step instead of looking each up.
+                    let mut expect = entry.range.start;
+                    for (page, state) in process.space.materialized_range(entry.range) {
+                        if page != expect {
+                            return Err(missing(expect));
+                        }
                         if batch.is_empty() {
                             batch_base = cursor;
                         }
-                        match process.space.page_state(page) {
-                            Some(PageState::Resident(frame)) => {
+                        match state {
+                            PageState::Resident(frame) => {
                                 // Memory-mapped into the message: a COW
                                 // share, not a copy.
                                 batch.push(frame.clone());
                                 resident_slots.push(cursor);
                                 resident_pages += 1;
                             }
-                            Some(PageState::OnDisk(_)) => {
+                            PageState::OnDisk(addr) => {
                                 // Transferred by reference to the disk
                                 // block: the frame moves into the message
                                 // and the block is reclaimed (the process
                                 // is leaving this node) — no byte copy.
-                                let frame =
-                                    process.space.take_disk_frame(page, disk).ok_or(
-                                        KernelError::Mem(cor_mem::MemError::NotResident(page)),
-                                    )?;
+                                let frame = disk.take_frame(*addr).ok_or(KernelError::Mem(
+                                    cor_mem::MemError::NotResident(page),
+                                ))?;
                                 batch.push(frame);
                             }
-                            other => {
+                            PageState::Imaginary { .. } => {
                                 return Err(KernelError::Mem(cor_mem::MemError::BadState(
                                     page,
-                                    match other {
-                                        None => "AMap says Real but page is missing",
-                                        _ => "AMap says Real but page is imaginary",
-                                    },
+                                    "AMap says Real but page is imaginary",
                                 )))
                             }
                         }
                         real_pages += 1;
                         cursor += 1;
+                        expect = PageNum(page.0 + 1);
+                    }
+                    if expect != entry.range.end {
+                        return Err(missing(expect));
                     }
                 }
                 Access::Imag => {
@@ -203,7 +215,7 @@ pub fn excise_process(
 mod tests {
     use super::*;
     use cor_kernel::program::Trace;
-    use cor_mem::{AddressSpace, PageNum, PageRange, VAddr, PAGE_SIZE};
+    use cor_mem::{AddressSpace, PageRange, VAddr, PAGE_SIZE};
 
     fn build_process(budget: Option<usize>) -> (World, NodeId, ProcessId) {
         let (mut world, a, _) = World::testbed();
@@ -291,7 +303,12 @@ mod tests {
         world.segs.add_refs(seg, 4).unwrap();
         let mut space = AddressSpace::new();
         space.validate(VAddr(0), 8 * PAGE_SIZE).unwrap();
-        space.map_imaginary(PageRange::new(PageNum(2), PageNum(6)), seg, 0);
+        space.map_imaginary(
+            PageRange::new(PageNum(2), PageNum(6)),
+            seg,
+            0,
+            &mut world.node_mut(a).unwrap().disk,
+        );
         let trace = Trace::new(vec![cor_kernel::program::Op::Terminate]);
         let pid = world.create_process(a, "imag", space, trace).unwrap();
         let dest = world.ports.allocate(a);

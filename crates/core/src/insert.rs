@@ -74,13 +74,15 @@ impl<'a> SlotIndex<'a> {
         SlotIndex { entries }
     }
 
-    fn resolve(&self, slot: u64) -> Option<(&SlotSrc<'a>, u64)> {
+    /// The item holding `slot`: its source, the slot's offset into it and
+    /// the number of slots the item still holds from there on.
+    fn resolve(&self, slot: u64) -> Option<(&SlotSrc<'a>, u64, u64)> {
         let idx = self
             .entries
             .partition_point(|&(base, len, _)| base + len <= slot);
         let (base, len, src) = self.entries.get(idx)?;
         if slot >= *base && slot < base + len {
-            Some((src, slot - base))
+            Some((src, slot - base, base + len - slot))
         } else {
             None
         }
@@ -128,23 +130,30 @@ pub fn insert_process(
                 Access::RealZero => space.validate_pages(entry.range),
                 Access::Real | Access::Imag => {
                     runs += 1;
-                    for page in entry.range.iter() {
-                        let (src, off) = index.resolve(cursor).ok_or_else(malformed)?;
+                    space.validate_pages(entry.range);
+                    // Consume the run item by item: each RIMAS item covering
+                    // part of it is resolved once, then installed or mapped
+                    // as one contiguous piece.
+                    let mut page = entry.range.start;
+                    while page < entry.range.end {
+                        let (src, off, avail) = index.resolve(cursor).ok_or_else(malformed)?;
+                        let n = avail.min(entry.range.end.0 - page.0);
+                        let piece = PageRange::new(page, PageNum(page.0 + n));
                         match src {
                             SlotSrc::Frames(frames) => {
-                                space.install_page(page, frames[off as usize].clone(), disk);
-                                carried_pages += 1;
+                                let off = off as usize;
+                                for (p, frame) in piece.iter().zip(&frames[off..off + n as usize]) {
+                                    space.install_page(p, frame.clone(), disk);
+                                }
+                                carried_pages += n;
                             }
                             SlotSrc::Iou { seg, seg_offset } => {
-                                space.map_imaginary(
-                                    PageRange::new(page, PageNum(page.0 + 1)),
-                                    *seg,
-                                    seg_offset + off,
-                                );
-                                owed_pages += 1;
+                                space.map_imaginary(piece, *seg, seg_offset + off, disk);
+                                owed_pages += n;
                             }
                         }
-                        cursor += 1;
+                        page = piece.end;
+                        cursor += n;
                     }
                 }
                 Access::Bad => unreachable!("AMaps never contain BadMem entries"),

@@ -1,6 +1,6 @@
 //! Trial execution: one migration + remote execution per matrix cell.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use cor_kernel::World;
 use cor_mem::PageNum;
@@ -163,38 +163,50 @@ pub fn run_trial_with(
     let dst = MigrationManager::new(&mut world, b);
     let pid = workload.build(&mut world, a).expect("workload build");
     let process = world.process(a, pid).expect("process");
-    let real_set: HashSet<PageNum> = process.space.materialized_pages().map(|(p, _)| p).collect();
-    let resident_set: HashSet<PageNum> = process.space.resident_pages().into_iter().collect();
+    // Both lists come out ascending, so membership is a binary search.
+    let real: Vec<PageNum> = process.space.materialized_pages().map(|(p, _)| p).collect();
+    let resident = process.space.resident_pages();
     let total_pages = process.space.stats().total_bytes() / cor_mem::PAGE_SIZE;
     let migration = src
         .migrate_to(&mut world, &dst, pid, strategy)
         .expect("migration");
     let exec = world.run(b, pid).expect("remote execution");
-    let stats = world.process(b, pid).expect("process").stats.clone();
-    let touched_real: HashSet<PageNum> = stats.touched.intersection(&real_set).copied().collect();
-    let rs_union = resident_set.union(&touched_real).count() as u64;
+    let stats = std::mem::take(&mut world.process_mut(b, pid).expect("process").stats);
+    // |resident ∪ (touched ∩ real)| = |resident| + |(touched ∩ real) \ resident|.
+    let mut touched_real = 0u64;
+    let mut rs_union = resident.len() as u64;
+    for page in &stats.touched {
+        if real.binary_search(page).is_ok() {
+            touched_real += 1;
+            if resident.binary_search(page).is_err() {
+                rs_union += 1;
+            }
+        }
+    }
     let fabric_stats = world.fabric.stats().clone();
+    // The world dies with this call, so its records move out uncopied.
+    let ledger = std::mem::take(&mut world.fabric.ledger);
     Trial {
         workload: workload.name().to_string(),
         strategy,
         migration,
         exec_elapsed: exec.elapsed,
-        total_bytes: world.fabric.ledger.total(),
-        bulk_bytes: world.fabric.ledger.total_for(LedgerCategory::Bulk),
-        fault_bytes: world.fabric.ledger.total_for(LedgerCategory::FaultSupport),
+        total_bytes: ledger.total(),
+        bulk_bytes: ledger.total_for(LedgerCategory::Bulk),
+        fault_bytes: ledger.total_for(LedgerCategory::FaultSupport),
         msg_cpu: fabric_stats.cpu_total,
         msgs: fabric_stats.msgs_total,
         imag_faults: stats.imag_faults,
         disk_faults: stats.disk_faults,
         zero_faults: stats.zero_faults,
         prefetch_hit_ratio: stats.prefetch_hit_ratio(),
-        touched_real_pages: touched_real.len() as u64,
-        real_pages: real_set.len() as u64,
+        touched_real_pages: touched_real,
+        real_pages: real.len() as u64,
         total_pages,
         rs_union_pages: rs_union,
-        retransmit_bytes: world.fabric.ledger.total_for(LedgerCategory::Retransmit),
-        reliability: world.fabric.reliability.clone(),
-        ledger: world.fabric.ledger.clone(),
+        retransmit_bytes: ledger.total_for(LedgerCategory::Retransmit),
+        reliability: std::mem::take(&mut world.fabric.reliability),
+        ledger,
         end_time: world.clock.now(),
     }
 }

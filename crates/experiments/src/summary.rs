@@ -44,7 +44,12 @@ pub fn constants() -> String {
             .install_cache(a, seg, vec![cor_mem::page::Frame::zeroed()])
             .unwrap();
         let mut space = AddressSpace::new();
-        space.map_imaginary(PageRange::new(PageNum(0), PageNum(1)), seg, 0);
+        space.map_imaginary(
+            PageRange::new(PageNum(0), PageNum(1)),
+            seg,
+            0,
+            &mut world.node_mut(b).expect("node").disk,
+        );
         let mut tb = cor_kernel::program::Trace::builder();
         tb.read(VAddr(0), 8);
         let pid = world

@@ -585,7 +585,12 @@ mod tests {
             .collect();
         w.fabric.install_cache(a, seg, frames).unwrap();
         let mut space = AddressSpace::new();
-        space.map_imaginary(PageRange::new(PageNum(0), PageNum(pages)), seg, 0);
+        space.map_imaginary(
+            PageRange::new(PageNum(0), PageNum(pages)),
+            seg,
+            0,
+            &mut w.node_mut(b).unwrap().disk,
+        );
         let mut tb = Trace::builder();
         tb.read(VAddr(0), PAGE_SIZE * pages);
         let trace = tb.terminate();
@@ -691,7 +696,12 @@ mod tests {
         let (mut w, a, b, _, seg) = owed_process(6);
         // A second process variant: touch only page 0, then terminate.
         let mut space = AddressSpace::new();
-        space.map_imaginary(PageRange::new(PageNum(0), PageNum(6)), seg, 0);
+        space.map_imaginary(
+            PageRange::new(PageNum(0), PageNum(6)),
+            seg,
+            0,
+            &mut w.node_mut(b).unwrap().disk,
+        );
         // Transfer the refs: the original mapping in owed_process also holds
         // refs, so add for this second mapping.
         w.segs.add_refs(seg, 6).unwrap();
@@ -725,7 +735,12 @@ mod tests {
         );
         w.register_backer(backing_port, a, Box::new(store));
         let mut space = AddressSpace::new();
-        space.map_imaginary(PageRange::new(PageNum(0), PageNum(2)), seg, 0);
+        space.map_imaginary(
+            PageRange::new(PageNum(0), PageNum(2)),
+            seg,
+            0,
+            &mut w.node_mut(b).unwrap().disk,
+        );
         let mut tb = Trace::builder();
         tb.read(VAddr(0), 2 * PAGE_SIZE);
         let pid = w

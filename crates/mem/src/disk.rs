@@ -4,8 +4,16 @@
 //! are charged by the kernel's cost model (the paper reports 40.8 ms for a
 //! local fault, §4.3.3); this module only stores and returns real bytes and
 //! counts operations.
+//!
+//! # Cost model
+//!
+//! Blocks live on a slab indexed directly by [`DiskAddr`]: every operation
+//! is one bounds-checked vector index, O(1), with no tree walk. Addresses
+//! come from a monotonic cursor and are never reused, so a freed block
+//! leaves an empty slot behind: the slab grows by one pointer-sized slot
+//! (8 B on 64-bit hosts) per block ever written, whether or not it is
+//! still in use. A live-block counter keeps [`Disk::blocks_in_use`] O(1).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::page::{Frame, PageData, PAGE_SIZE};
@@ -33,8 +41,9 @@ pub struct DiskAddr(pub u64);
 /// ```
 #[derive(Debug, Default)]
 pub struct Disk {
-    blocks: BTreeMap<DiskAddr, Frame>,
-    next: u64,
+    /// Slot `i` holds block `DiskAddr(i)`; `None` once it is freed.
+    blocks: Vec<Option<Frame>>,
+    live: usize,
     reads: u64,
     writes: u64,
 }
@@ -55,11 +64,17 @@ impl Disk {
     /// page-out path. The frame may be shared with live mappings; the disk
     /// never mutates it.
     pub fn write_new_frame(&mut self, frame: Frame) -> DiskAddr {
-        let addr = DiskAddr(self.next);
-        self.next += 1;
+        let addr = DiskAddr(self.blocks.len() as u64);
+        self.blocks.push(Some(frame));
+        self.live += 1;
         self.writes += 1;
-        self.blocks.insert(addr, frame);
         addr
+    }
+
+    /// The slot of `addr`, if the block was ever allocated (`None` inside
+    /// once freed).
+    fn slot(&mut self, addr: DiskAddr) -> Option<&mut Option<Frame>> {
+        self.blocks.get_mut(usize::try_from(addr.0).ok()?)
     }
 
     /// Overwrites an existing block (by frame replacement, never in-place
@@ -68,32 +83,29 @@ impl Disk {
     /// Returns `false` (and stores nothing) if the block was never
     /// allocated.
     pub fn write(&mut self, addr: DiskAddr, data: PageData) -> bool {
-        if let std::collections::btree_map::Entry::Occupied(mut e) = self.blocks.entry(addr) {
-            e.insert(Frame::new(data));
-            self.writes += 1;
-            true
-        } else {
-            false
+        match self.slot(addr) {
+            Some(Some(frame)) => {
+                *frame = Frame::new(data);
+                self.writes += 1;
+                true
+            }
+            _ => false,
         }
     }
 
     /// Reads a block, returning a copy of its contents.
     pub fn read(&mut self, addr: DiskAddr) -> Option<PageData> {
-        let data = self.blocks.get(&addr).map(|f| f.snapshot());
-        if data.is_some() {
-            self.reads += 1;
-        }
-        data
+        let data = self.slot(addr)?.as_ref()?.snapshot();
+        self.reads += 1;
+        Some(data)
     }
 
     /// Reads a block as a shared frame (no byte copy). A later write
     /// through an `AddressSpace` diverges it via the deferred-copy path.
     pub fn read_frame(&mut self, addr: DiskAddr) -> Option<Frame> {
-        let frame = self.blocks.get(&addr).cloned();
-        if frame.is_some() {
-            self.reads += 1;
-        }
-        frame
+        let frame = self.slot(addr)?.clone()?;
+        self.reads += 1;
+        Some(frame)
     }
 
     /// Reads a block and releases it in one step — the zero-copy page-in:
@@ -101,26 +113,29 @@ impl Disk {
     /// [`Disk::write_new_frame`] and taken back never copies its bytes.
     /// Counts as one read.
     pub fn take_frame(&mut self, addr: DiskAddr) -> Option<Frame> {
-        let frame = self.blocks.remove(&addr);
-        if frame.is_some() {
-            self.reads += 1;
-        }
-        frame
+        let frame = self.slot(addr)?.take()?;
+        self.live -= 1;
+        self.reads += 1;
+        Some(frame)
     }
 
     /// Releases a block.
     pub fn free(&mut self, addr: DiskAddr) -> bool {
-        self.blocks.remove(&addr).is_some()
+        let freed = self.slot(addr).and_then(Option::take).is_some();
+        if freed {
+            self.live -= 1;
+        }
+        freed
     }
 
     /// Number of blocks currently allocated.
     pub fn blocks_in_use(&self) -> usize {
-        self.blocks.len()
+        self.live
     }
 
     /// Bytes currently stored.
     pub fn bytes_in_use(&self) -> u64 {
-        self.blocks.len() as u64 * PAGE_SIZE
+        self.live as u64 * PAGE_SIZE
     }
 
     /// Total reads serviced.

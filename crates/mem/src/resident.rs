@@ -5,10 +5,60 @@
 //! replacement, including stale file pages that will never be touched again.
 //! The tracker models a per-space frame budget; when it is exceeded the
 //! least recently used page is nominated for page-out.
+//!
+//! # Cost model
+//!
+//! The tracker is an intrusive doubly-linked list threaded through a slab
+//! of nodes, plus one hash index from page to slab slot. `touch`,
+//! `refresh`, `remove` and victim selection are O(1): one hash probe and a
+//! constant number of link updates, with no allocation once the slab has
+//! grown to the peak resident count (freed slots are reused). The index
+//! hashes a [`PageNum`] with one folded multiply instead of SipHash; its
+//! iteration order never leaks, because [`ResidentTracker::pages`] sorts
+//! and [`ResidentTracker::pages_lru_order`] walks the list.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::page::PageNum;
+
+/// A multiply-shift hasher for page numbers: the 128-bit product of the key
+/// with an odd constant, folded to 64 bits, so every key bit reaches both
+/// the bucket-index (low) and tag (high) bits of the table.
+#[derive(Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let m = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+}
+
+/// Slot number of a list node on the slab.
+type Slot = u32;
+
+/// The "no node" link.
+const NIL: Slot = Slot::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    page: PageNum,
+    /// The next-older node (towards the LRU end).
+    prev: Slot,
+    /// The next-newer node (towards the MRU end).
+    next: Slot,
+}
 
 /// LRU tracker over the resident pages of one address space.
 ///
@@ -25,14 +75,31 @@ use crate::page::PageNum;
 /// // Inserting a third page evicts the LRU page, which is now 2.
 /// assert_eq!(rs.touch(PageNum(3)), Some(PageNum(2)));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ResidentTracker {
-    /// page -> recency stamp
-    stamps: HashMap<PageNum, u64>,
-    /// recency stamp -> page (inverse index, for O(log n) LRU lookup)
-    order: BTreeMap<u64, PageNum>,
-    next_stamp: u64,
+    /// List nodes; slots on `free` are unlinked and reusable.
+    nodes: Vec<Node>,
+    free: Vec<Slot>,
+    /// page -> slot of its node
+    index: HashMap<PageNum, Slot, BuildHasherDefault<PageHasher>>,
+    /// Least recently used node.
+    head: Slot,
+    /// Most recently used node.
+    tail: Slot,
     capacity: Option<usize>,
+}
+
+impl Default for ResidentTracker {
+    fn default() -> Self {
+        ResidentTracker {
+            nodes: Vec::new(),
+            free: Vec::new(),
+            index: HashMap::default(),
+            head: NIL,
+            tail: NIL,
+            capacity: None,
+        }
+    }
 }
 
 impl ResidentTracker {
@@ -71,25 +138,17 @@ impl ResidentTracker {
     /// must page it out.
     #[must_use = "a returned page must be paged out by the caller"]
     pub fn touch(&mut self, page: PageNum) -> Option<PageNum> {
-        if let Some(old) = self.stamps.insert(page, self.next_stamp) {
-            self.order.remove(&old);
-        }
-        self.order.insert(self.next_stamp, page);
-        self.next_stamp += 1;
-        if let Some(cap) = self.capacity {
-            if self.stamps.len() > cap {
-                let (&stamp, &victim) = self
-                    .order
-                    .iter()
-                    .next()
-                    .expect("tracker over capacity implies at least one entry");
-                // The page just touched is never the LRU victim when cap >= 1.
-                self.order.remove(&stamp);
-                self.stamps.remove(&victim);
-                return Some(victim);
+        self.refresh(page);
+        match self.capacity {
+            Some(cap) if self.index.len() > cap => {
+                // The page just touched is the MRU node, never the LRU
+                // victim when cap >= 1.
+                let victim = self.nodes[self.head as usize].page;
+                self.remove(victim);
+                Some(victim)
             }
+            _ => None,
         }
-        None
     }
 
     /// Marks `page` as most recently used *without* enforcing capacity.
@@ -98,59 +157,125 @@ impl ResidentTracker {
     /// a budget shrink or a bulk insertion) drains one page per subsequent
     /// install rather than on reads.
     pub fn refresh(&mut self, page: PageNum) {
-        if let Some(old) = self.stamps.insert(page, self.next_stamp) {
-            self.order.remove(&old);
-        }
-        self.order.insert(self.next_stamp, page);
-        self.next_stamp += 1;
+        let slot = match self.index.get(&page) {
+            Some(&slot) => {
+                if slot == self.tail {
+                    return;
+                }
+                self.unlink(slot);
+                slot
+            }
+            None => {
+                let node = Node {
+                    page,
+                    prev: NIL,
+                    next: NIL,
+                };
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.nodes[slot as usize] = node;
+                        slot
+                    }
+                    None => {
+                        let slot = Slot::try_from(self.nodes.len())
+                            .ok()
+                            .filter(|&s| s != NIL)
+                            .expect("resident tracker slab exhausted");
+                        self.nodes.push(node);
+                        slot
+                    }
+                };
+                self.index.insert(page, slot);
+                slot
+            }
+        };
+        self.push_back(slot);
     }
 
     /// Removes `page` (it was paged out, unmapped, or migrated away).
     pub fn remove(&mut self, page: PageNum) -> bool {
-        if let Some(stamp) = self.stamps.remove(&page) {
-            self.order.remove(&stamp);
-            true
-        } else {
-            false
+        match self.index.remove(&page) {
+            Some(slot) => {
+                self.unlink(slot);
+                self.free.push(slot);
+                true
+            }
+            None => false,
         }
     }
 
     /// Forgets everything (e.g. after process excision).
     pub fn clear(&mut self) {
-        self.stamps.clear();
-        self.order.clear();
+        self.nodes.clear();
+        self.free.clear();
+        self.index.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Whether `page` is tracked as resident.
     pub fn contains(&self, page: PageNum) -> bool {
-        self.stamps.contains_key(&page)
+        self.index.contains_key(&page)
     }
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.stamps.len()
+        self.index.len()
     }
 
     /// `true` when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
+        self.index.is_empty()
     }
 
     /// The resident pages in ascending page order.
     pub fn pages(&self) -> Vec<PageNum> {
-        let mut v: Vec<PageNum> = self.stamps.keys().copied().collect();
+        let mut v: Vec<PageNum> = self.index.keys().copied().collect();
         v.sort_unstable();
         v
     }
 
     /// The resident pages from least to most recently used.
     pub fn pages_lru_order(&self) -> Vec<PageNum> {
-        self.order.values().copied().collect()
+        let mut v = Vec::with_capacity(self.index.len());
+        let mut slot = self.head;
+        while slot != NIL {
+            let node = &self.nodes[slot as usize];
+            v.push(node.page);
+            slot = node.next;
+        }
+        v
     }
 
     /// The configured capacity, if bounded.
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
+    }
+
+    /// Detaches `slot` from the list, leaving its own links stale.
+    fn unlink(&mut self, slot: Slot) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Links a detached `slot` in as the most recently used node.
+    fn push_back(&mut self, slot: Slot) {
+        let tail = self.tail;
+        let node = &mut self.nodes[slot as usize];
+        node.prev = tail;
+        node.next = NIL;
+        match tail {
+            NIL => self.head = slot,
+            t => self.nodes[t as usize].next = slot,
+        }
+        self.tail = slot;
     }
 }
 

@@ -142,32 +142,32 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Validates a page range directly.
+    /// Validates a page range directly. O(log regions) and allocation-free
+    /// when one region already covers `r`; otherwise the regions
+    /// overlapping or adjacent to `r` are spliced into one in place.
     pub fn validate_pages(&mut self, r: PageRange) {
         if r.is_empty() {
             return;
         }
-        let (mut start, mut end) = (r.start.0, r.end.0);
-        // Merge every region overlapping or adjacent to [start, end).
-        let mut merged = Vec::with_capacity(self.regions.len() + 1);
-        let mut placed = false;
-        for &(s, e) in &self.regions {
-            if e < start || s > end {
-                if s > end && !placed {
-                    merged.push((start, end));
-                    placed = true;
-                }
-                merged.push((s, e));
-            } else {
-                start = start.min(s);
-                end = end.max(e);
+        let (start, end) = (r.start.0, r.end.0);
+        // Regions are sorted and disjoint, so those overlapping or adjacent
+        // to [start, end) form the contiguous index range lo..hi.
+        let lo = self.regions.partition_point(|&(_, e)| e < start);
+        if let Some(&(s, e)) = self.regions.get(lo) {
+            if s <= start && end <= e {
+                return;
             }
         }
-        if !placed {
-            merged.push((start, end));
-            merged.sort_unstable();
-        }
-        self.regions = merged;
+        let hi = lo + self.regions[lo..].partition_point(|&(s, _)| s <= end);
+        let merged = if lo < hi {
+            (
+                start.min(self.regions[lo].0),
+                end.max(self.regions[hi - 1].1),
+            )
+        } else {
+            (start, end)
+        };
+        self.regions.splice(lo..hi, std::iter::once(merged));
     }
 
     /// Whether `page` lies in a validated region.
@@ -437,46 +437,73 @@ impl AddressSpace {
 
     /// Installs `frame` for `page` unconditionally (used when building
     /// processes and reconstructing them at insertion). The page is
-    /// validated if it was not already. May page out an LRU victim.
+    /// validated if it was not already; a replaced on-disk mapping's block
+    /// is freed. May page out an LRU victim.
     pub fn install_page(&mut self, page: PageNum, frame: Frame, disk: &mut Disk) {
         self.validate_pages(PageRange::new(page, PageNum(page.0 + 1)));
-        self.pages.remove(&page);
         self.install_frame(page, frame, disk);
     }
 
     /// Installs `data` for `page` directly in the on-disk state (used to
     /// model memory-mapped files whose pages have not been read yet: they
     /// are RealMem, accessible at local-disk cost, but not resident). The
-    /// page is validated if needed.
+    /// page is validated if needed. A replaced mapping is released (see
+    /// [`AddressSpace::map_imaginary`]).
     pub fn install_on_disk(&mut self, page: PageNum, data: PageData, disk: &mut Disk) {
         self.validate_pages(PageRange::new(page, PageNum(page.0 + 1)));
-        self.pages.remove(&page);
-        self.resident.remove(page);
         let addr = disk.write_new(data);
-        self.pages.insert(page, PageState::OnDisk(addr));
+        let old = self.pages.insert(page, PageState::OnDisk(addr));
+        self.release(page, old, disk);
     }
 
     /// Maps `range` to imaginary segment `seg`, with the range's first page
     /// at `base_offset` pages into the segment. The range is validated if
     /// needed. Existing materialized pages in the range are replaced (their
-    /// data is owed by the segment now).
-    pub fn map_imaginary(&mut self, range: PageRange, seg: SegmentId, base_offset: u64) {
+    /// data is owed by the segment now): a replaced resident page leaves the
+    /// resident set and a replaced on-disk page's block is freed on `disk`,
+    /// which must be the disk the space pages to.
+    pub fn map_imaginary(
+        &mut self,
+        range: PageRange,
+        seg: SegmentId,
+        base_offset: u64,
+        disk: &mut Disk,
+    ) {
         self.validate_pages(range);
         for (i, page) in range.iter().enumerate() {
-            self.pages.remove(&page);
-            self.resident.remove(page);
-            self.pages.insert(
+            let old = self.pages.insert(
                 page,
                 PageState::Imaginary {
                     seg,
                     offset: base_offset + i as u64,
                 },
             );
+            self.release(page, old, disk);
         }
     }
 
+    /// Releases what a replaced mapping of `page` held: its resident-set
+    /// entry or its disk block.
+    fn release(&mut self, page: PageNum, old: Option<PageState>, disk: &mut Disk) {
+        match old {
+            Some(PageState::Resident(_)) => {
+                self.resident.remove(page);
+            }
+            Some(PageState::OnDisk(addr)) => {
+                disk.free(addr);
+            }
+            Some(PageState::Imaginary { .. }) | None => {}
+        }
+    }
+
+    /// Maps `page` to `frame` and marks it most recently used, paging out
+    /// the LRU victim if that exceeds the budget. A replaced on-disk
+    /// mapping's block is freed; a replaced resident page keeps its
+    /// resident-set entry, refreshed by the touch.
     fn install_frame(&mut self, page: PageNum, frame: Frame, disk: &mut Disk) {
-        self.pages.insert(page, PageState::Resident(frame));
+        if let Some(PageState::OnDisk(addr)) = self.pages.insert(page, PageState::Resident(frame)) {
+            disk.free(addr);
+        }
         if let Some(victim) = self.resident.touch(page) {
             self.page_out(victim, disk);
         }
@@ -486,11 +513,13 @@ impl AddressSpace {
     /// policies). The frame moves to the disk by reference — no byte copy.
     /// No-op unless the page is resident.
     pub fn page_out(&mut self, page: PageNum, disk: &mut Disk) {
-        if let Some(PageState::Resident(frame)) = self.pages.get(&page) {
-            let addr = disk.write_new_frame(frame.clone());
-            self.pages.insert(page, PageState::OnDisk(addr));
-            self.resident.remove(page);
-            self.pageouts += 1;
+        if let Some(state) = self.pages.get_mut(&page) {
+            if let PageState::Resident(frame) = state {
+                // One page-table lookup: the entry is rewritten in place.
+                *state = PageState::OnDisk(disk.write_new_frame(frame.clone()));
+                self.resident.remove(page);
+                self.pageouts += 1;
+            }
         }
     }
 
@@ -520,20 +549,6 @@ impl AddressSpace {
         }
     }
 
-    /// Removes `page`'s on-disk block and returns its frame without copying
-    /// — the excision path for paged-out pages: the process is leaving the
-    /// node, so the block is reclaimed and its frame rides the RIMAS
-    /// message by reference. Counts one disk read, like the copying path it
-    /// replaces. Returns `None` (and changes nothing) unless the page is in
-    /// the on-disk state with a live block.
-    pub fn take_disk_frame(&mut self, page: PageNum, disk: &mut Disk) -> Option<Frame> {
-        let addr = match self.pages.get(&page) {
-            Some(PageState::OnDisk(a)) => *a,
-            _ => return None,
-        };
-        disk.take_frame(addr)
-    }
-
     /// The page's raw state, if materialized.
     pub fn page_state(&self, page: PageNum) -> Option<&PageState> {
         self.pages.get(&page)
@@ -542,6 +557,17 @@ impl AddressSpace {
     /// All materialized pages in ascending order.
     pub fn materialized_pages(&self) -> impl Iterator<Item = (PageNum, &PageState)> {
         self.pages.iter().map(|(&p, s)| (p, s))
+    }
+
+    /// The materialized pages inside `range`, in ascending order: one
+    /// page-table seek, then a sequential walk.
+    pub fn materialized_range(
+        &self,
+        range: PageRange,
+    ) -> impl Iterator<Item = (PageNum, &PageState)> {
+        self.pages
+            .range(range.start..range.end)
+            .map(|(&p, s)| (p, s))
     }
 
     /// The resident pages in ascending page order.
@@ -657,7 +683,7 @@ mod tests {
         assert_eq!(s.classify(p(4)), Access::Bad);
         ready(&mut s, &mut d, p(0));
         assert_eq!(s.classify(p(0)), Access::Real);
-        s.map_imaginary(PageRange::new(p(2), p(3)), SegmentId(7), 5);
+        s.map_imaginary(PageRange::new(p(2), p(3)), SegmentId(7), 5, &mut d);
         assert_eq!(s.classify(p(2)), Access::Imag);
     }
 
@@ -771,7 +797,7 @@ mod tests {
         let mut s = AddressSpace::new();
         let mut d = Disk::new();
         let seg = SegmentId(3);
-        s.map_imaginary(PageRange::new(p(10), p(12)), seg, 100);
+        s.map_imaginary(PageRange::new(p(10), p(12)), seg, 100, &mut d);
         match s.check_read(p(11)) {
             Err(Fault::Imaginary {
                 page,
@@ -796,7 +822,7 @@ mod tests {
     fn satisfy_imaginary_frame_shares_until_written() {
         let mut s = AddressSpace::new();
         let mut d = Disk::new();
-        s.map_imaginary(PageRange::new(p(0), p(1)), SegmentId(1), 0);
+        s.map_imaginary(PageRange::new(p(0), p(1)), SegmentId(1), 0, &mut d);
         let frame = Frame::new(crate::page::page_from_bytes(b"wire"));
         let senders_copy = frame.clone();
         s.satisfy_imaginary_frame(p(0), frame, &mut d).unwrap();
@@ -825,7 +851,7 @@ mod tests {
         ready(&mut s, &mut d, p(0));
         ready(&mut s, &mut d, p(1));
         s.page_out(p(0), &mut d);
-        s.map_imaginary(PageRange::new(p(5), p(7)), SegmentId(1), 0);
+        s.map_imaginary(PageRange::new(p(5), p(7)), SegmentId(1), 0, &mut d);
         let st = s.stats();
         assert_eq!(st.real_bytes, 2 * PAGE_SIZE);
         assert_eq!(st.resident_bytes, PAGE_SIZE);
@@ -842,7 +868,7 @@ mod tests {
         s.validate(VAddr(0), 8 * PAGE_SIZE).unwrap();
         ready(&mut s, &mut d, p(2));
         ready(&mut s, &mut d, p(3));
-        s.map_imaginary(PageRange::new(p(5), p(6)), SegmentId(9), 4);
+        s.map_imaginary(PageRange::new(p(5), p(6)), SegmentId(9), 4, &mut d);
         let m = s.amap();
         assert!(m.verify().is_ok());
         assert_eq!(m.lookup(p(0)).0, Access::RealZero);
@@ -889,6 +915,63 @@ mod tests {
         let mut buf = [0u8; 4];
         s.read(p(4).base(), &mut buf).unwrap();
         assert_eq!(&buf, b"file");
+    }
+
+    fn on_disk_pages(s: &AddressSpace) -> usize {
+        s.materialized_pages()
+            .filter(|(_, st)| matches!(st, PageState::OnDisk(_)))
+            .count()
+    }
+
+    #[test]
+    fn replacing_an_on_disk_page_frees_its_block() {
+        let mut s = AddressSpace::with_frame_budget(2);
+        let mut d = Disk::new();
+        for i in 0..4 {
+            s.install_page(
+                p(i),
+                Frame::new(crate::page::page_from_bytes(&[i as u8])),
+                &mut d,
+            );
+        }
+        // Pages 0 and 1 were paged out to make room for 2 and 3.
+        assert_eq!(on_disk_pages(&s), 2);
+        assert_eq!(d.blocks_in_use(), 2);
+        // Re-installing a paged-out page releases its block; the install
+        // pages out the LRU page (2) in turn.
+        s.install_page(p(0), Frame::zeroed(), &mut d);
+        assert_eq!(on_disk_pages(&s), 2);
+        assert_eq!(d.blocks_in_use(), on_disk_pages(&s));
+        // Installing on disk over an on-disk page replaces its block.
+        s.install_on_disk(p(1), crate::page::page_from_bytes(b"file"), &mut d);
+        assert_eq!(d.blocks_in_use(), on_disk_pages(&s));
+        // Mapping imaginary over an on-disk page frees its block, and over
+        // a resident page drops it from the resident set.
+        s.map_imaginary(PageRange::new(p(1), p(4)), SegmentId(1), 0, &mut d);
+        assert_eq!(on_disk_pages(&s), 0);
+        assert_eq!(d.blocks_in_use(), 0);
+        assert_eq!(s.resident_pages(), vec![p(0)]);
+        // Every replaced block was freed exactly once; none was read.
+        assert_eq!(d.reads(), 0);
+    }
+
+    #[test]
+    fn validation_inside_a_region_is_a_no_op() {
+        let mut s = AddressSpace::new();
+        s.validate_pages(PageRange::new(p(10), p(20)));
+        s.validate_pages(PageRange::new(p(30), p(40)));
+        s.validate_pages(PageRange::new(p(12), p(18)));
+        s.validate_pages(PageRange::new(p(30), p(40)));
+        assert_eq!(
+            s.regions(),
+            vec![PageRange::new(p(10), p(20)), PageRange::new(p(30), p(40))]
+        );
+        // Adjacent on both sides: the three ranges splice into one.
+        s.validate_pages(PageRange::new(p(20), p(30)));
+        assert_eq!(s.regions(), vec![PageRange::new(p(10), p(40))]);
+        s.validate_pages(PageRange::new(p(0), p(5)));
+        s.validate_pages(PageRange::new(p(50), p(60)));
+        assert_eq!(s.regions().len(), 3);
     }
 
     #[test]

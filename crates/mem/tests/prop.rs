@@ -1,14 +1,14 @@
 //! Property tests on the virtual-memory substrate: AMap invariants,
-//! data-path roundtrips, LRU model conformance.
+//! data-path roundtrips, LRU and disk model conformance.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use proptest::prelude::*;
 
 use cor_mem::amap::Access;
 use cor_mem::page::PAGE_SIZE;
 use cor_mem::resident::ResidentTracker;
-use cor_mem::{AddressSpace, Disk, Fault, PageNum, PageRange, SegmentId, VAddr};
+use cor_mem::{AddressSpace, Disk, DiskAddr, Fault, PageNum, PageRange, SegmentId, VAddr};
 
 /// Drives a page to readiness like a minimal pager (no imaginary service).
 fn ready(space: &mut AddressSpace, disk: &mut Disk, page: PageNum) {
@@ -40,7 +40,196 @@ fn space_ops() -> impl Strategy<Value = Vec<SpaceOp>> {
     prop::collection::vec(op, 1..80)
 }
 
+/// The stamp-based LRU tracker the linked-list tracker replaced: a
+/// page -> recency-stamp table plus its inverse index. Kept as the model
+/// the production tracker must agree with.
+#[derive(Default)]
+struct StampTracker {
+    stamps: HashMap<PageNum, u64>,
+    order: BTreeMap<u64, PageNum>,
+    next_stamp: u64,
+    capacity: Option<usize>,
+}
+
+impl StampTracker {
+    fn touch(&mut self, page: PageNum) -> Option<PageNum> {
+        self.refresh(page);
+        let cap = self.capacity?;
+        if self.stamps.len() <= cap {
+            return None;
+        }
+        let (&stamp, &victim) = self.order.iter().next()?;
+        self.order.remove(&stamp);
+        self.stamps.remove(&victim);
+        Some(victim)
+    }
+
+    fn refresh(&mut self, page: PageNum) {
+        if let Some(old) = self.stamps.insert(page, self.next_stamp) {
+            self.order.remove(&old);
+        }
+        self.order.insert(self.next_stamp, page);
+        self.next_stamp += 1;
+    }
+
+    fn remove(&mut self, page: PageNum) -> bool {
+        match self.stamps.remove(&page) {
+            Some(stamp) => {
+                self.order.remove(&stamp);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.stamps.clear();
+        self.order.clear();
+    }
+
+    fn pages(&self) -> Vec<PageNum> {
+        let mut v: Vec<PageNum> = self.stamps.keys().copied().collect();
+        v.sort_unstable();
+        v
+    }
+
+    fn pages_lru_order(&self) -> Vec<PageNum> {
+        self.order.values().copied().collect()
+    }
+}
+
+#[derive(Debug, Clone)]
+enum TrackerOp {
+    Touch(u64),
+    Refresh(u64),
+    Remove(u64),
+    SetCapacity(Option<usize>),
+    Clear,
+}
+
+fn tracker_ops() -> impl Strategy<Value = Vec<TrackerOp>> {
+    let op = prop_oneof![
+        (0u64..48).prop_map(TrackerOp::Touch),
+        (0u64..48).prop_map(TrackerOp::Touch),
+        (0u64..48).prop_map(TrackerOp::Refresh),
+        (0u64..48).prop_map(TrackerOp::Remove),
+        (0usize..12).prop_map(|c| TrackerOp::SetCapacity((c > 0).then_some(c))),
+        (0u8..16).prop_map(|_| TrackerOp::Clear),
+    ];
+    prop::collection::vec(op, 1..300)
+}
+
+#[derive(Debug, Clone)]
+enum DiskOp {
+    WriteNew(u8),
+    Write(u64, u8),
+    Read(u64),
+    ReadFrame(u64),
+    TakeFrame(u64),
+    Free(u64),
+}
+
+fn disk_ops() -> impl Strategy<Value = Vec<DiskOp>> {
+    // Addresses range past the allocation cursor, so misses are exercised.
+    let op = prop_oneof![
+        any::<u8>().prop_map(DiskOp::WriteNew),
+        (0u64..48, any::<u8>()).prop_map(|(a, b)| DiskOp::Write(a, b)),
+        (0u64..48).prop_map(DiskOp::Read),
+        (0u64..48).prop_map(DiskOp::ReadFrame),
+        (0u64..48).prop_map(DiskOp::TakeFrame),
+        (0u64..48).prop_map(DiskOp::Free),
+    ];
+    prop::collection::vec(op, 1..200)
+}
+
 proptest! {
+    /// The linked-list tracker nominates the same victims, and lists the
+    /// same pages in the same orders, as the stamp-based model over any
+    /// mix of touches, refreshes, removals, budget changes and clears.
+    #[test]
+    fn tracker_matches_stamp_model(ops in tracker_ops()) {
+        let mut tracker = ResidentTracker::unbounded();
+        let mut model = StampTracker::default();
+        for op in ops {
+            match op {
+                TrackerOp::Touch(p) => {
+                    prop_assert_eq!(tracker.touch(PageNum(p)), model.touch(PageNum(p)));
+                }
+                TrackerOp::Refresh(p) => {
+                    tracker.refresh(PageNum(p));
+                    model.refresh(PageNum(p));
+                }
+                TrackerOp::Remove(p) => {
+                    prop_assert_eq!(tracker.remove(PageNum(p)), model.remove(PageNum(p)));
+                }
+                TrackerOp::SetCapacity(c) => {
+                    tracker.set_capacity(c);
+                    model.capacity = c;
+                }
+                TrackerOp::Clear => {
+                    tracker.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(tracker.len(), model.stamps.len());
+            prop_assert_eq!(tracker.pages_lru_order(), model.pages_lru_order());
+        }
+        prop_assert_eq!(tracker.pages(), model.pages());
+        for p in 0..48u64 {
+            prop_assert_eq!(tracker.contains(PageNum(p)), model.stamps.contains_key(&PageNum(p)));
+        }
+    }
+
+    /// The slab disk returns the same data, misses and counts as a
+    /// `BTreeMap` keyed by address with a monotonic allocation cursor.
+    #[test]
+    fn disk_matches_btreemap_model(ops in disk_ops()) {
+        use cor_mem::page::page_from_bytes;
+        let mut disk = Disk::new();
+        let mut model: BTreeMap<u64, u8> = BTreeMap::new();
+        let (mut next, mut reads, mut writes) = (0u64, 0u64, 0u64);
+        let first = |data: Option<cor_mem::PageData>| data.map(|d| d[0]);
+        for op in ops {
+            match op {
+                DiskOp::WriteNew(b) => {
+                    prop_assert_eq!(disk.write_new(page_from_bytes(&[b])), DiskAddr(next));
+                    model.insert(next, b);
+                    next += 1;
+                    writes += 1;
+                }
+                DiskOp::Write(a, b) => {
+                    let hit = model.get_mut(&a).map(|v| *v = b).is_some();
+                    prop_assert_eq!(disk.write(DiskAddr(a), page_from_bytes(&[b])), hit);
+                    writes += u64::from(hit);
+                }
+                DiskOp::Read(a) => {
+                    let want = model.get(&a).copied();
+                    prop_assert_eq!(first(disk.read(DiskAddr(a))), want);
+                    reads += u64::from(want.is_some());
+                }
+                DiskOp::ReadFrame(a) => {
+                    let want = model.get(&a).copied();
+                    let got = disk.read_frame(DiskAddr(a)).map(|f| f.snapshot()[0]);
+                    prop_assert_eq!(got, want);
+                    reads += u64::from(want.is_some());
+                }
+                DiskOp::TakeFrame(a) => {
+                    let want = model.remove(&a);
+                    let got = disk.take_frame(DiskAddr(a)).map(|f| f.snapshot()[0]);
+                    prop_assert_eq!(got, want);
+                    reads += u64::from(want.is_some());
+                }
+                DiskOp::Free(a) => {
+                    prop_assert_eq!(disk.free(DiskAddr(a)), model.remove(&a).is_some());
+                }
+            }
+            prop_assert_eq!(disk.blocks_in_use(), model.len());
+            prop_assert_eq!(disk.bytes_in_use(), model.len() as u64 * PAGE_SIZE);
+            prop_assert_eq!(disk.reads(), reads);
+            prop_assert_eq!(disk.writes(), writes);
+        }
+    }
+
     /// After any sequence of operations, the constructed AMap satisfies
     /// its structural invariants and agrees with per-page classification.
     #[test]
@@ -65,6 +254,7 @@ proptest! {
                         PageRange::new(PageNum(p), PageNum(p + n)),
                         SegmentId(seg_count),
                         0,
+                        &mut disk,
                     );
                 }
             }

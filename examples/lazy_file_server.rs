@@ -71,6 +71,7 @@ fn serve(lazy: bool) -> (f64, u64) {
                         PageRange::new(PageNum(*base_page), PageNum(base_page + pages)),
                         *seg,
                         *seg_offset,
+                        &mut node.disk,
                     );
                 }
                 other => panic!("unexpected item {other:?}"),

@@ -203,7 +203,12 @@ fn missing_cache_data_is_a_clean_error() {
     world.segs.add_refs(seg, 4).unwrap();
     // Deliberately do NOT install any cache data for `seg`.
     let mut space = AddressSpace::new();
-    space.map_imaginary(PageRange::new(PageNum(0), PageNum(4)), seg, 0);
+    space.map_imaginary(
+        PageRange::new(PageNum(0), PageNum(4)),
+        seg,
+        0,
+        &mut world.node_mut(b).unwrap().disk,
+    );
     let mut tb = Trace::builder();
     tb.read(VAddr(0), 8);
     let pid = world
@@ -277,7 +282,12 @@ fn backer_that_loses_data_mid_run_surfaces_missing_data() {
     inner.insert(seg, (0..3).map(|_| Frame::zeroed()).collect());
     world.register_backer(backing, a, Box::new(Flaky { inner, served: 0 }));
     let mut space = AddressSpace::new();
-    space.map_imaginary(PageRange::new(PageNum(0), PageNum(3)), seg, 0);
+    space.map_imaginary(
+        PageRange::new(PageNum(0), PageNum(3)),
+        seg,
+        0,
+        &mut world.node_mut(b).unwrap().disk,
+    );
     let mut tb = Trace::builder();
     tb.read(VAddr(0), 3 * PAGE_SIZE);
     let pid = world

@@ -223,3 +223,58 @@ fn ledger_conservation() {
         .sum();
     assert_eq!(ledger.total(), binned, "binning conserves bytes");
 }
+
+/// Page bookkeeping agrees with the page table on every node: the LRU
+/// tracker holds exactly the `Resident` pages, and the disk holds exactly
+/// one live block per `OnDisk` page. Checked for every paper workload
+/// after the build (budget-driven page-outs) and after migration (excision
+/// reclaims the source's blocks; insertion pages out at the destination).
+#[test]
+fn page_bookkeeping_matches_the_page_table() {
+    use cor::mem::PageState;
+
+    fn check(world: &World, node: cor::ipc::NodeId, context: &str) {
+        let n = world.node(node).unwrap();
+        let mut on_disk = 0usize;
+        for process in n.processes.values() {
+            let mut resident = Vec::new();
+            for (page, state) in process.space.materialized_pages() {
+                match state {
+                    PageState::Resident(_) => resident.push(page),
+                    PageState::OnDisk(_) => on_disk += 1,
+                    PageState::Imaginary { .. } => {}
+                }
+            }
+            assert_eq!(
+                process.space.resident_pages(),
+                resident,
+                "{context}: tracker vs Resident pages"
+            );
+        }
+        assert_eq!(
+            n.disk.blocks_in_use(),
+            on_disk,
+            "{context}: live disk blocks vs OnDisk pages"
+        );
+    }
+
+    let strategies = [
+        Strategy::PureCopy,
+        Strategy::PureIou { prefetch: 1 },
+        Strategy::ResidentSet { prefetch: 3 },
+    ];
+    for w in cor::workloads::all() {
+        for strategy in strategies {
+            let context = format!("{} / {strategy:?}", w.name());
+            let (mut world, a, b) = World::testbed();
+            let src = MigrationManager::new(&mut world, a);
+            let dst = MigrationManager::new(&mut world, b);
+            let pid = w.build(&mut world, a).unwrap();
+            check(&world, a, &format!("{context} after build"));
+            src.migrate_to(&mut world, &dst, pid, strategy).unwrap();
+            for node in [a, b] {
+                check(&world, node, &format!("{context} after migrate_to"));
+            }
+        }
+    }
+}
